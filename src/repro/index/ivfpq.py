@@ -29,9 +29,10 @@ Both metrics run on one score: vectors are unit-normalised at insert for
 ``metric="cosine"`` and squared Euclidean ordering on the unit sphere is
 exactly cosine ordering, so a single squared-distance ADC serves both.
 
-Checkpoints are where this backend departs from its siblings.  It opts
-out of NPZ deflate (``checkpoint_compressed = False``) and stores every
-cell's codes and exact vectors as separate members
+Checkpoints are where this backend departs from its siblings.  Every
+repro checkpoint is a stored (never deflated) NPZ, so each member is a
+contiguous byte run in the file; this backend stores every cell's codes
+and exact vectors as separate members
 (``cell.NNNNNN.codes`` / ``cell.NNNNNN.vecs``) marked lazy
 (``lazy_array_prefix``): :func:`repro.serialize.load_checkpoint` skips
 them and re-attaches the file through
@@ -96,10 +97,6 @@ class IVFPQIndex(VectorIndex):
     backend = "ivfpq"
 
     _QUERY_TUNABLES = {"nprobe": 1, "rerank": 0}
-
-    #: Checkpoints stay uncompressed so cell members can be memory-mapped
-    #: in place (see repro.index.storage).
-    checkpoint_compressed = False
 
     #: Members under this prefix are skipped at load time and served
     #: lazily from the file via attach_store().

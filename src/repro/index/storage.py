@@ -1,12 +1,16 @@
 """Memory-mapped access to arrays inside an uncompressed checkpoint.
 
 A repro checkpoint is an NPZ file — a zip archive of ``.npy`` members.
-When the archive is *stored* rather than deflated (see
-``checkpoint_compressed`` in :mod:`repro.serialize`), every member's
-array data sits as a contiguous, aligned byte run inside the file, which
-means the kernel's page cache can serve it directly: map the whole file
-once, expose each member as a zero-copy :func:`numpy.frombuffer` view,
-and touch pages only when a query actually reads them.
+:func:`repro.serialize.save_checkpoint` writes every archive *stored*,
+never deflated: each member's array data sits as a contiguous byte run
+inside the file, so the kernel's page cache can serve it directly —
+map the whole file once, expose each member as a zero-copy
+:func:`numpy.frombuffer` view, and touch pages only when a query actually
+reads them.  The single stored encoding costs ~5-8% more bytes than
+deflate on trained models and indexes, and makes a checkpoint rotation
+over 10x cheaper (~72-87 ms -> ~5 ms in the stream-ingest benchmark on a
+2-core x86 box).  Deflated checkpoints written by earlier releases still
+load through :func:`numpy.load`; only this mapping rejects them.
 
 :class:`MappedArrays` is that map.  :class:`repro.index.IVFPQIndex` uses
 it for its inverted lists — a million-vector corpus attaches in

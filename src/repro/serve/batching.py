@@ -127,9 +127,10 @@ class MicroBatcher:
     def submit(self, rows) -> np.ndarray:
         """Block until ``rows`` (``(k, d)`` or ``(d,)``) are predicted.
 
-        Thread-safe; concurrent callers are coalesced.  Exceptions raised by
-        ``predict_fn`` propagate to every caller whose rows were in the
-        failing batch.
+        Thread-safe; concurrent callers are coalesced.  When a coalesced
+        batch fails, each caller's rows are re-run alone, so an exception
+        raised by ``predict_fn`` reaches only the callers whose own rows
+        raise it.
         """
         matrix = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         item = _Pending(matrix)
@@ -216,11 +217,17 @@ class MicroBatcher:
                 raise ServingError(
                     f"predict_fn returned {output.shape[0]} outputs for "
                     f"{stacked.shape[0]} rows")
-        except BaseException as exc:  # propagate to every waiting caller
-            for item in batch:
-                item.error = exc
-                item.batch_started = started
-                item.event.set()
+        except BaseException as exc:
+            if len(batch) > 1:
+                # One caller's rows can fail the shared forward (a
+                # non-finite value, a mismatched width): re-run each
+                # request alone so only the offender sees the error.
+                for item in batch:
+                    self._run_batch([item])
+                return
+            batch[0].error = exc
+            batch[0].batch_started = started
+            batch[0].event.set()
             return
         done = time.perf_counter()
         if obs_enabled():

@@ -78,8 +78,8 @@ from .routes import (
 )
 from .service import PredictService
 
-__all__ = ["ReproHTTPServer", "create_server", "query_flag",
-           "query_value", "read_request_body"]
+__all__ = ["ReproHTTPServer", "create_server", "parse_json_body",
+           "query_flag", "query_value", "read_request_body"]
 
 #: Dispatch table: the compiled route patterns, straight from the
 #: canonical table (matched against the *unversioned* path).
@@ -104,6 +104,23 @@ def match_route(method: str, path: str) -> tuple[Route | None, dict]:
         if found is not None:
             return route, found.groupdict()
     return None, {}
+
+
+def _reject_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
+def parse_json_body(raw: bytes):
+    """Decode a request body as strict JSON (``{}`` when empty).
+
+    Python's :func:`json.loads` accepts the non-standard ``NaN`` and
+    ``Infinity`` literals; a vector carrying one would pass every shape
+    check and only fail inside a shared micro-batch, so they are refused
+    here, at the request boundary, with ``ValueError``.
+    """
+    if not raw:
+        return {}
+    return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
 
 
 def query_flag(query: str, name: str) -> bool:
@@ -297,8 +314,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_post(self, route: Route, params: dict, raw: bytes) -> None:
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
+            payload = parse_json_body(raw)
+        except ValueError as exc:
             self._send_error_json(400, f"invalid JSON body: {exc}")
             return
         # Propagate the router's trace id (or mint one at this edge) so

@@ -49,8 +49,8 @@ from ..obs.metrics import (get_registry, merge_snapshots, obs_enabled,
 from ..obs.trace import (TRACE_HEADER, get_trace_store, record_span,
                          request_trace, valid_trace_id)
 from .errors import classify_exception, default_code, error_envelope
-from .http import (_PROMETHEUS_CONTENT_TYPE, match_route, query_flag,
-                   query_value, read_request_body)
+from .http import (_PROMETHEUS_CONTENT_TYPE, match_route, parse_json_body,
+                   query_flag, query_value, read_request_body)
 from .jobs import JobManager
 from .pool import WorkerPool, shard_for
 from .registry import servable_names
@@ -322,8 +322,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
             return
         if endpoint == "jobs_submit":
             try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                payload = parse_json_body(raw)
+            except ValueError as exc:
                 self._send_error_json(400, f"invalid JSON body: {exc}")
                 return
             description, created = jobs.submit(payload)
@@ -351,7 +351,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
         """
         pool = self.server.pool
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
+            payload = parse_json_body(raw)
             name = payload.get("index")
         except (ValueError, AttributeError):
             return 0

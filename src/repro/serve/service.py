@@ -454,14 +454,17 @@ class PredictService:
                 raise ServingError(f"'vectors' is not numeric: {exc}") from exc
             if matrix.ndim != 2 or 0 in matrix.shape:
                 raise ServingError("'vectors' must be a non-empty 2-D array")
-            # Reject wrong-width vectors *before* they join a shared
-            # micro-batch, where the stacking error would propagate to every
-            # concurrent (innocent) request in the same tick.
+            # Reject wrong-width or non-finite vectors *before* they join a
+            # shared micro-batch, where the model's validation error would
+            # cost every concurrent request in the tick an isolated re-run.
             expected = loaded.metadata.get("n_features")
             if expected is not None and matrix.shape[1] != expected:
                 raise ServingError(
                     f"'vectors' have {matrix.shape[1]} features; model "
                     f"{loaded.name!r} expects {expected}")
+            if not np.isfinite(matrix).all():
+                raise ServingError("'vectors' must be finite (no NaN or "
+                                   "infinity)")
             return matrix
         if "items" in payload:
             items = payload["items"]

@@ -9,6 +9,7 @@ piece of fitted state; these tests would catch that for each algorithm.
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,20 @@ from repro.data import generate_camera, generate_musicbrainz, generate_webtables
 from repro.exceptions import NotFittedError, SerializationError
 from repro.serialize import (
     CHECKPOINT_VERSION,
+    checkpoint_generations,
     load_checkpoint,
     read_checkpoint_header,
+    rotate_checkpoint,
     save_checkpoint,
 )
 from repro.clustering import KMeans
+from repro.index import (
+    FlatIndex,
+    HNSWIndex,
+    IVFFlatIndex,
+    IVFPQIndex,
+    MappedArrays,
+)
 from repro.tasks import embed_columns, embed_records, embed_tables
 from repro.tasks.base import CLUSTERER_NAMES, make_clusterer
 
@@ -33,6 +43,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Tiny but structured embedding per task (one matrix per module run).
 _FAST = DeepClusteringConfig(pretrain_epochs=4, train_epochs=4,
                              layer_size=32, latent_dim=8, seed=0)
+
+
+def member_encodings(path) -> set[int]:
+    """The distinct zip compression types of a checkpoint's members."""
+    with zipfile.ZipFile(path) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+def assert_stored(path) -> None:
+    """Every member of the checkpoint at ``path`` is stored, not deflated."""
+    assert member_encodings(path) == {zipfile.ZIP_STORED}
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +91,7 @@ def test_roundtrip_bit_identical_predict(task, algorithm, task_matrices,
 
     path = tmp_path / f"{task}_{algorithm}.npz"
     save_checkpoint(path, model, metadata={"task": task, "embedding": "sbert"})
+    assert_stored(path)
     reloaded = load_checkpoint(path)
 
     assert type(reloaded) is type(model)
@@ -77,6 +99,32 @@ def test_roundtrip_bit_identical_predict(task, algorithm, task_matrices,
     assert np.array_equal(reloaded.predict(held_out), held_before)
     # The persisted training labels round-trip exactly too.
     assert np.array_equal(reloaded.labels_, model.labels_)
+
+
+_INDEXES = {
+    "flat": FlatIndex,
+    "ivfflat": lambda: IVFFlatIndex(nlist=4, nprobe=2),
+    "hnsw": lambda: HNSWIndex(m=8, ef_construction=40),
+    "ivfpq": lambda: IVFPQIndex(nlist=4, nprobe=2, m=4),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_INDEXES))
+def test_index_checkpoints_are_stored(backend, tmp_path):
+    X = np.random.default_rng(0).normal(size=(80, 8))
+    index = _INDEXES[backend]().build(X)
+    path = tmp_path / f"{backend}.index.npz"
+    save_checkpoint(path, index)
+    assert_stored(path)
+    # One encoding for every class: any checkpoint maps in place.
+    mapped = MappedArrays(path)
+    try:
+        assert "__header__" in mapped
+    finally:
+        mapped.close()
+    reloaded = load_checkpoint(path)
+    for before, after in zip(index.query(X[:5], 3), reloaded.query(X[:5], 3)):
+        assert np.array_equal(before, after)
 
 
 class TestFormat:
@@ -197,6 +245,88 @@ class TestCorruption:
         np.savez(path, **entries)
         with pytest.raises(SerializationError, match="inconsistent"):
             load_checkpoint(path)
+
+
+def write_deflated(path: Path, model, metadata: dict | None = None) -> Path:
+    """Write ``model`` the way earlier releases did: deflated members.
+
+    The header and members are exactly what :func:`save_checkpoint`
+    writes; only the zip encoding differs.
+    """
+    stored = path.with_name(f".stored-{path.name}")
+    save_checkpoint(stored, model, metadata=metadata)
+    with np.load(stored, allow_pickle=False) as payload:
+        entries = {name: payload[name] for name in payload.files}
+    stored.unlink()
+    np.savez_compressed(path, **entries)
+    assert member_encodings(path) == {zipfile.ZIP_DEFLATED}
+    return path
+
+
+class TestDeflatedUpgradePath:
+    """Checkpoints deflated by earlier releases load, rotate and recover."""
+
+    def _fitted_kmeans(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 6))
+        return KMeans(4, seed=0).fit(X), X, rng
+
+    def test_loads_bit_identically(self, tmp_path):
+        from repro.serve import ModelRegistry
+
+        model, X, _ = self._fitted_kmeans()
+        metadata = {"task": "schema_inference", "embedding": "sbert"}
+        path = write_deflated(tmp_path / "old.npz", model, metadata)
+        stored = save_checkpoint(tmp_path / "new.npz", model,
+                                 metadata=metadata)
+
+        assert read_checkpoint_header(path) == read_checkpoint_header(stored)
+        entry = ModelRegistry(tmp_path).get("old")
+        assert entry.header == read_checkpoint_header(stored)
+        for loaded in (load_checkpoint(path), entry.model):
+            expected = model.checkpoint_arrays()
+            actual = loaded.checkpoint_arrays()
+            assert sorted(actual) == sorted(expected)
+            for name, array in expected.items():
+                assert actual[name].dtype == array.dtype
+                assert actual[name].tobytes() == array.tobytes()
+            assert np.array_equal(loaded.predict(X), model.predict(X))
+
+    def test_rotation_archives_deflated_then_writes_stored(self, tmp_path):
+        model, X, _ = self._fitted_kmeans()
+        path = write_deflated(tmp_path / "model.npz", model)
+        original = path.read_bytes()
+
+        rotate_checkpoint(path, model)
+        [archive] = checkpoint_generations(path)
+        assert archive.read_bytes() == original
+        assert_stored(path)
+        assert read_checkpoint_header(path)["metadata"]["generation"] == 1
+        assert np.array_equal(load_checkpoint(archive).predict(X),
+                              load_checkpoint(path).predict(X))
+
+    def test_recovery_replays_over_deflated_checkpoint(self, tmp_path):
+        from repro.stream import incremental_update
+        from repro.wal import WriteAheadLog, recover_checkpoint, wal_namespace
+
+        model, _, rng = self._fitted_kmeans()
+        path = write_deflated(tmp_path / "m.npz", model, {
+            "algorithm": "kmeans", "wal_applied": {"s": 0},
+            "wal_updates_applied": 0})
+        batch = rng.normal(size=(10, 6))
+        with WriteAheadLog(wal_namespace(tmp_path / "wal", "m", "s")) as wal:
+            wal.append({"X": batch}, meta={"seed": 0})
+        expected = load_checkpoint(path)
+        incremental_update(expected, batch, seed=0)
+
+        report = recover_checkpoint(path, tmp_path / "wal")
+        assert report.replayed == {"s": [1]}
+        assert_stored(path)
+        assert read_checkpoint_header(path)["metadata"]["wal_applied"] == \
+            {"s": 1}
+        recovered = load_checkpoint(path)
+        assert recovered.cluster_centers_.tobytes() == \
+            expected.cluster_centers_.tobytes()
 
 
 class TestFreshProcess:

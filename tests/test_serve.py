@@ -14,7 +14,7 @@ from repro.cache import reset_cache
 from repro.clustering import KMeans
 from repro.data import generate_camera, generate_webtables
 from repro.embeddings import SERVABLE_EMBEDDINGS, embed_item, embed_items
-from repro.exceptions import EmbeddingError, ServingError
+from repro.exceptions import DataValidationError, EmbeddingError, ServingError
 from repro.serialize import save_checkpoint
 from repro.serve import (
     MicroBatcher,
@@ -118,6 +118,39 @@ class TestMicroBatcher:
             # exception — and the batcher still works afterwards.
             assert len(outcomes) == 2
             assert np.array_equal(batcher.submit(X[:2]), model.predict(X[:2]))
+
+    def test_failing_request_is_isolated_from_its_batch(self):
+        """A batch that fails re-runs each request alone."""
+        model, X = _fitted_kmeans(dim=8)
+        calls: list[int] = []
+
+        def predict(rows):
+            calls.append(rows.shape[0])
+            return model.predict(rows)   # raises on non-finite rows
+
+        poisoned = np.full((1, 8), np.nan)
+        with MicroBatcher(predict, max_delay=0.2) as batcher:
+            barrier = threading.Barrier(2)
+            outcomes: dict[str, object] = {}
+
+            def submit(key, rows):
+                barrier.wait()
+                try:
+                    outcomes[key] = batcher.submit(rows)
+                except Exception as exc:
+                    outcomes[key] = exc
+
+            threads = [threading.Thread(target=submit, args=(key, rows))
+                       for key, rows in (("good", X[:2]),
+                                         ("bad", poisoned))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        assert calls[0] == 3, "the two requests were not coalesced"
+        assert sorted(calls[1:]) == [1, 2]
+        assert np.array_equal(outcomes["good"], model.predict(X[:2]))
+        assert isinstance(outcomes["bad"], DataValidationError)
 
     def test_errors_propagate_to_submitters(self):
         def exploding(batch):
@@ -378,6 +411,17 @@ def _post(port, path, body):
         return json.loads(response.read())
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_request_bodies_reject_non_finite_literals(literal):
+    from repro.serve.http import parse_json_body
+
+    with pytest.raises(ValueError, match=literal.lstrip("-")):
+        parse_json_body(f'{{"vectors": [[1.0, {literal}]]}}'.encode())
+    assert parse_json_body(b'{"vectors": [[1.0, 2.5e3]]}') == \
+        {"vectors": [[1.0, 2500.0]]}
+    assert parse_json_body(b"") == {}
+
+
 class TestHTTPServer:
     @pytest.fixture()
     def model_dir(self, tmp_path):
@@ -463,6 +507,39 @@ class TestHTTPServer:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
 
+    def test_nan_request_does_not_poison_a_concurrent_one(self, model_dir,
+                                                         http_server):
+        dataset = generate_webtables(24, 6, seed=3)
+        X = embed_tables(dataset, "sbert")
+        # A long linger puts both requests in one micro-batch tick.
+        server, port = http_server(model_dir, max_delay=0.2)
+        expected = server.service.registry.get("webtables") \
+            .model.predict(X[:1])
+        poisoned = X[:1].copy()
+        poisoned[0, 0] = float("nan")   # json.dumps writes the NaN literal
+        barrier = threading.Barrier(2)
+        outcomes: dict[str, object] = {}
+
+        def client(key, rows):
+            barrier.wait()
+            try:
+                outcomes[key] = _post(port, "/v1/models/webtables/predict",
+                                      {"vectors": rows.tolist()})
+            except urllib.error.HTTPError as exc:
+                outcomes[key] = (exc.code, json.loads(exc.read()))
+
+        threads = [threading.Thread(target=client, args=(key, rows))
+                   for key, rows in (("good", X[:1]), ("bad", poisoned))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert outcomes["good"]["labels"] == [int(expected[0])]
+        status, body = outcomes["bad"]
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "NaN" in body["error"]["message"]
+
     def test_oversized_body_rejected_with_413(self, model_dir, http_server,
                                               monkeypatch):
         import http.client
@@ -541,6 +618,17 @@ class TestPredictService:
             # Correct width still flows through the batcher.
             assert service.predict(
                 "m", {"vectors": X[:1].tolist()})["n_items"] == 1
+
+    def test_non_finite_vectors_rejected_before_batching(self, tmp_path):
+        model, X = _fitted_kmeans(dim=8)
+        save_checkpoint(tmp_path / "m.npz", model)
+        with PredictService(ModelRegistry(tmp_path)) as service:
+            for bad in (np.nan, np.inf, -np.inf):
+                rows = X[:2].copy()
+                rows[1, 3] = bad
+                with pytest.raises(ServingError, match="finite"):
+                    service.predict("m", {"vectors": rows.tolist()})
+            assert service.stats().get("m", {}).get("requests", 0) == 0
 
     def test_eviction_hook_chaining(self, tmp_path):
         model, _ = _fitted_kmeans()
