@@ -53,12 +53,24 @@ Built on :class:`http.server.ThreadingHTTPServer` — one thread per request,
 with the :class:`~repro.serve.service.PredictService` micro-batcher
 coalescing concurrent forwards — so serving needs no dependencies beyond
 the standard library and numpy.
+
+:class:`BaseHandler` is the one handler frame of both server shapes: this
+module's local backend and the pool router's proxy backend
+(:mod:`repro.serve.router`) subclass it and supply only ``_dispatch``.
+The frame owns the version split, the body drain, the 404 path, the
+exception -> envelope mapping (stdlib-detected errors such as an
+unsupported method or an unparseable request line included), the strict
+JSON parse, request traces and metrics, the jobs routes, and the single
+response write: status line, headers and body leave in one ``sendall`` on
+a ``TCP_NODELAY`` socket, so keep-alive answers never wait on the
+client's delayed ACK.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
@@ -79,7 +91,7 @@ from .routes import (
 from .service import PredictService
 
 __all__ = ["ReproHTTPServer", "create_server", "parse_json_body",
-           "query_flag", "query_value", "read_request_body"]
+           "query_flag", "query_value"]
 
 #: Dispatch table: the compiled route patterns, straight from the
 #: canonical table (matched against the *unversioned* path).
@@ -169,101 +181,104 @@ class ReproHTTPServer(ThreadingHTTPServer):
             service.close()
 
 
-def read_request_body(handler: BaseHTTPRequestHandler) -> bytes | None:
-    """Drain and return the request body, enforcing the size limit.
+class _Rejected(Exception):
+    """An enveloped error answer decided mid-request (status, code)."""
 
-    Returns ``None`` after answering the client itself (bad or hostile
-    Content-Length, unreadable socket) — callers just return.  Shared by
-    the single-process handler and the pool router, which must apply the
-    same draining discipline before proxying: answering before consuming
-    Content-Length bytes desyncs HTTP/1.1 keep-alive connections (the next
-    request would be parsed starting at the leftover body).
+    def __init__(self, status: int, message: str,
+                 code: str | None = None) -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
 
-    The handler must provide ``_send_error_json(status, message)``.
+
+class BaseHandler(BaseHTTPRequestHandler):
+    """The one handler frame both server shapes answer through.
+
+    It owns everything but the backend: the version split and deprecation
+    stamps, the body drain, the 404 path, the exception -> envelope
+    mapping, the strict JSON parse, request traces, the request metrics,
+    the jobs routes and the response write.  A subclass implements
+    :meth:`_dispatch` for a matched route.
+
+    Every response, stdlib-detected errors included, leaves through
+    :meth:`_send` as one write on a ``TCP_NODELAY`` socket.  A header
+    block and a body in two writes with Nagle on make each answer on a
+    busy keep-alive connection wait for the client's delayed ACK (~40 ms
+    on Linux).
     """
-    try:
-        length = int(handler.headers.get("Content-Length", 0))
-    except ValueError as exc:
-        handler._send_error_json(400, f"bad Content-Length: {exc}")
-        return None
-    if length < 0:
-        # rfile.read(-1) would block reading until EOF, pinning the
-        # handler thread for as long as the client holds the socket.
-        handler.close_connection = True
-        handler._send_error_json(400, f"bad Content-Length: {length}")
-        return None
-    if length > _MAX_BODY_BYTES:
-        # Answer without reading; the connection cannot be reused after
-        # an undrained body, so close it explicitly.
-        handler.close_connection = True
-        handler._send_error_json(
-            413, f"request body of {length} bytes exceeds the "
-                 f"{_MAX_BODY_BYTES} byte limit")
-        return None
-    try:
-        return handler.rfile.read(length) if length else b""
-    except OSError as exc:
-        handler._send_error_json(400, f"unreadable request body: {exc}")
-        return None
 
-
-class _Handler(BaseHTTPRequestHandler):
-    """Table-driven dispatch; every error is an enveloped JSON body."""
-
-    server: ReproHTTPServer
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     #: Quiet by default; flip for debugging.
     verbose = False
+    #: ``(name, help)`` of the request counter and latency histogram.
+    requests_metric = ("repro_http_requests_total", "HTTP requests handled")
+    latency_metric = ("repro_http_request_seconds",
+                      "HTTP request handling time")
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.verbose:  # pragma: no cover - debug aid
             super().log_message(format, *args)
 
+    def handle_one_request(self) -> None:
+        # One instance serves every request of a keep-alive connection:
+        # nothing may leak from the previous request into this answer.
+        self._trace_id: str | None = None
+        self._extra_headers: tuple = ()
+        self._status = 0
+        super().handle_one_request()
+
     # ------------------------------------------------------------------
-    def _send_headers(self, status: int, content_type: str,
-                      length: int) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(length))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header(TRACE_HEADER, trace_id)
-        for name, value in getattr(self, "_extra_headers", ()):
-            self.send_header(name, value)
-        self.end_headers()
+    def _send(self, status: int, data: bytes, content_type: str,
+              headers: tuple = ()) -> None:
+        """Write status line, headers and body in a single ``sendall``."""
+        self.log_request(status)
+        head = [f"{self.protocol_version} {status} "
+                f"{self.responses.get(status, ('',))[0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                f"Content-Type: {content_type}",
+                f"Content-Length: {len(data)}"]
+        if self._trace_id:
+            head.append(f"{TRACE_HEADER}: {self._trace_id}")
+        head.extend(f"{name}: {value}"
+                    for name, value in (*self._extra_headers, *headers))
+        head.append("\r\n")
+        self.wfile.write("\r\n".join(head).encode("latin-1") + data)
         self._status = status
 
-    def _send_bytes(self, status: int, data: bytes,
-                    content_type: str) -> None:
-        self._send_headers(status, content_type, len(data))
-        self.wfile.write(data)
-
-    def _send_json(self, status: int, body: dict | list) -> None:
-        self._send_bytes(status, json.dumps(body).encode("utf-8"),
-                         "application/json")
-
-    def _send_text(self, status: int, text: str,
-                   content_type: str = _PROMETHEUS_CONTENT_TYPE) -> None:
-        self._send_bytes(status, text.encode("utf-8"), content_type)
+    def _send_json(self, status: int, body: dict | list,
+                   headers: tuple = ()) -> None:
+        self._send(status, json.dumps(body).encode("utf-8"),
+                   "application/json", headers)
 
     def _send_error_json(self, status: int, message: str,
-                         code: str | None = None) -> None:
+                         code: str | None = None,
+                         headers: tuple = ()) -> None:
         self._send_json(status, error_envelope(
             code or default_code(status), message,
-            trace_id=getattr(self, "_trace_id", None)))
+            trace_id=self._trace_id), headers)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Answer a stdlib-detected error in the envelope, in one write.
+
+        Bad request lines, unsupported methods and oversized headers keep
+        the stdlib's status.  The request was not fully read, so the
+        connection closes.
+        """
+        self.close_connection = True
+        self._send_error_json(
+            int(code), message or self.responses.get(code, ("error",))[0],
+            headers=(("Connection", "close"),))
 
     def _observe_request(self, endpoint: str, started: float) -> None:
         if not obs_enabled():
             return
         registry = get_registry()
-        registry.counter(
-            "repro_http_requests_total", "HTTP requests handled",
-            ("endpoint", "status")).inc(
-                endpoint=endpoint, status=getattr(self, "_status", 0))
-        registry.histogram(
-            "repro_http_request_seconds", "HTTP request handling time",
-            ("endpoint",)).observe(time.perf_counter() - started,
-                                   endpoint=endpoint)
+        registry.counter(*self.requests_metric, ("endpoint", "status")).inc(
+            endpoint=endpoint, status=self._status)
+        registry.histogram(*self.latency_metric, ("endpoint",)).observe(
+            time.perf_counter() - started, endpoint=endpoint)
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -276,34 +291,24 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
     def _handle(self, method: str) -> None:
+        started = time.perf_counter()
         raw_path, _, query = self.path.partition("?")
         path, versioned = split_version(raw_path)
         if not versioned:
             self._extra_headers = deprecation_headers(path)
-        raw = b""
-        if method == "POST":
-            # Drain the body before answering anything (even a 404):
-            # leaving it unread desyncs HTTP/1.1 keep-alive parsing.
-            body = read_request_body(self)
-            if body is None:
-                return
-            raw = body
         route, params = match_route(method, path)
         endpoint = route.endpoint if route is not None else "other"
-        started = time.perf_counter()
         try:
+            # Drain the body before answering anything (even a 404):
+            # leaving it unread desyncs HTTP/1.1 keep-alive parsing.
+            raw = self._read_body() if method == "POST" else b""
             if route is None:
                 self._send_error_json(404, f"no such route: {self.path}",
                                       code="not_found")
-            elif method == "POST":
-                self._handle_post(route, params, raw)
             else:
-                self._dispatch(route, params, query, {})
-        except _JobsDisabled:
-            self._send_error_json(
-                503, "the jobs API is not enabled on this server (pool "
-                     "workers defer jobs to the router)",
-                code="jobs_disabled")
+                self._dispatch(route, params, path, query, raw)
+        except _Rejected as exc:
+            self._send_error_json(exc.status, str(exc), code=exc.code)
         except Exception as exc:  # noqa: BLE001 - request boundary
             status, code = classify_exception(exc)
             message = (str(exc) if type(exc).__module__.startswith("repro")
@@ -312,33 +317,108 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self._observe_request(endpoint, started)
 
-    def _handle_post(self, route: Route, params: dict, raw: bytes) -> None:
-        try:
-            payload = parse_json_body(raw)
-        except ValueError as exc:
-            self._send_error_json(400, f"invalid JSON body: {exc}")
-            return
-        # Propagate the router's trace id (or mint one at this edge) so
-        # the batcher/embed spans land on the request's trace and the
-        # client can correlate via the response header.
-        incoming = self.headers.get(TRACE_HEADER)
-        trace_id = incoming if valid_trace_id(incoming) else None
-        with request_trace(route.endpoint, trace_id=trace_id) as trace:
-            if trace is not None:
-                self._trace_id = trace.trace_id
-            self._dispatch(route, params, "", payload)
+    def _dispatch(self, route: Route, params: dict, path: str, query: str,
+                  raw: bytes) -> None:
+        """Answer a matched route: the backend each server supplies.
+
+        ``path`` is unversioned; ``raw`` is the drained body (``b""``
+        for routes without one).
+        """
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _jobs_manager(self) -> JobManager:
+    def _read_body(self) -> bytes:
+        """Drain and return the request body, enforcing the size limit.
+
+        A body that cannot be drained (bad or hostile Content-Length,
+        unreadable socket) is refused and the connection closed: the next
+        request would be parsed starting at the leftover bytes.
+        """
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError as exc:
+            self.close_connection = True
+            raise _Rejected(400, f"bad Content-Length: {exc}") from None
+        if length < 0:
+            # rfile.read(-1) would block reading until EOF, pinning the
+            # handler thread for as long as the client holds the socket.
+            self.close_connection = True
+            raise _Rejected(400, f"bad Content-Length: {length}")
+        if length > _MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _Rejected(413, f"request body of {length} bytes exceeds "
+                                 f"the {_MAX_BODY_BYTES} byte limit")
+        try:
+            return self.rfile.read(length) if length else b""
+        except OSError as exc:
+            self.close_connection = True
+            raise _Rejected(400, f"unreadable request body: {exc}") from None
+
+    @staticmethod
+    def _payload(raw: bytes):
+        try:
+            return parse_json_body(raw)
+        except ValueError as exc:
+            raise _Rejected(400, f"invalid JSON body: {exc}") from None
+
+    @contextmanager
+    def _request_trace(self, endpoint: str):
+        """Open the request's trace and echo its id on the response.
+
+        A valid incoming ``X-Repro-Trace`` (from the pool router) is
+        adopted so spans across the hop share one id; otherwise one is
+        minted at this edge.
+        """
+        incoming = self.headers.get(TRACE_HEADER)
+        trace_id = incoming if valid_trace_id(incoming) else None
+        with request_trace(endpoint, trace_id=trace_id) as trace:
+            if trace is not None:
+                self._trace_id = trace.trace_id
+            yield
+
+    def _serve_jobs(self, endpoint: str, params: dict, query: str,
+                    payload: dict) -> None:
+        """The jobs routes, answered from the server's own JobManager."""
         jobs = self.server.jobs
         if jobs is None:
-            raise _JobsDisabled()
-        return jobs
+            raise _Rejected(503, "the jobs API is not enabled on this "
+                                 "server (in a pool, the router owns jobs)",
+                            code="jobs_disabled")
+        if endpoint == "jobs_submit":
+            description, created = jobs.submit(payload)
+            # Without an open request trace, answer with the job's own.
+            self._trace_id = (self._trace_id or description.get("trace_id")
+                              or None)
+            self._send_json(201 if created else 200, description)
+        elif endpoint == "jobs_list":
+            self._send_json(200, {"jobs": jobs.list_jobs()})
+        elif endpoint == "jobs_get":
+            self._send_json(200, jobs.get(params["id"]))
+        elif endpoint == "jobs_cancel":
+            self._send_json(200, jobs.cancel(params["id"]))
+        else:  # jobs_result
+            fmt = query_value(query, "format") or "json"
+            data, content_type = jobs.result_bytes(params["id"], fmt)
+            self._send(200, data, content_type)
 
-    def _dispatch(self, route: Route, params: dict, query: str,
-                  payload: dict) -> None:
+
+class _Handler(BaseHandler):
+    """Local backend: answer from this process's PredictService."""
+
+    server: ReproHTTPServer
+
+    def _dispatch(self, route: Route, params: dict, path: str, query: str,
+                  raw: bytes) -> None:
+        if not route.has_body:
+            self._serve(route.endpoint, params, query, {})
+            return
+        payload = self._payload(raw)
+        with self._request_trace(route.endpoint):
+            self._serve(route.endpoint, params, query, payload)
+
+    def _serve(self, endpoint: str, params: dict, query: str,
+               payload: dict) -> None:
         service = self.server.service
-        endpoint = route.endpoint
         if endpoint == "healthz":
             self._send_json(200, service.health())
         elif endpoint == "models":
@@ -350,7 +430,8 @@ class _Handler(BaseHTTPRequestHandler):
             if query_value(query, "format") == "json":
                 self._send_json(200, get_registry().snapshot())
             else:
-                self._send_text(200, render_prometheus(get_registry()))
+                self._send(200, render_prometheus(get_registry())
+                           .encode("utf-8"), _PROMETHEUS_CONTENT_TYPE)
         elif endpoint == "openapi":
             self._send_json(200, openapi_spec())
         elif endpoint == "predict":
@@ -359,27 +440,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, service.neighbors(params["name"], payload))
         elif endpoint == "search":
             self._send_json(200, service.search(payload))
-        elif endpoint == "jobs_submit":
-            description, created = self._jobs_manager().submit(payload)
-            self._send_json(201 if created else 200, description)
-        elif endpoint == "jobs_list":
-            self._send_json(200, {"jobs": self._jobs_manager().list_jobs()})
-        elif endpoint == "jobs_get":
-            self._send_json(200, self._jobs_manager().get(params["id"]))
-        elif endpoint == "jobs_cancel":
-            self._send_json(200, self._jobs_manager().cancel(params["id"]))
-        elif endpoint == "jobs_result":
-            fmt = query_value(query, "format") or "json"
-            data, content_type = self._jobs_manager().result_bytes(
-                params["id"], fmt)
-            self._send_bytes(200, data, content_type)
-        else:  # pragma: no cover - table and dispatch are kept in sync
-            self._send_error_json(404, f"no handler for {endpoint!r}",
-                                  code="not_found")
-
-
-class _JobsDisabled(Exception):
-    """Raised when a jobs route is hit on a server without a manager."""
+        else:
+            self._serve_jobs(endpoint, params, query, payload)
 
 
 def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",

@@ -7,12 +7,13 @@ admission control, and proxies the bytes.  Because every request thread
 only ever blocks on one upstream socket, the router's GIL share per
 request is tiny and the pool's throughput scales with worker cores.
 
-The router serves the same versioned ``/v1`` surface as a single worker
-(legacy unprefixed paths answer with ``Deprecation``/``Link`` successor
-headers, errors use the shared envelope), and it is the pool's **job
-owner**: ``/v1/jobs`` routes are answered from a router-local
-:class:`~repro.serve.jobs.JobManager` rather than proxied, so the
-content-addressed submission dedup spans the whole pool.
+The router answers through the same handler frame as a single worker
+(:class:`repro.serve.http.BaseHandler`: version split, deprecation stamps,
+body drain, error envelope, traces, metrics and the one-write
+``TCP_NODELAY`` response), and supplies only the proxy backend.  It is
+also the pool's **job owner**: ``/v1/jobs`` routes are answered from a
+router-local :class:`~repro.serve.jobs.JobManager` rather than proxied,
+so the content-addressed submission dedup spans the whole pool.
 
 Admission control and failure semantics (the failure matrix ARCHITECTURE.md
 documents):
@@ -40,22 +41,18 @@ import http.client
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 from ..obs.logging import get_logger
-from ..obs.metrics import (get_registry, merge_snapshots, obs_enabled,
-                           render_prometheus)
-from ..obs.trace import (TRACE_HEADER, get_trace_store, record_span,
-                         request_trace, valid_trace_id)
-from .errors import classify_exception, default_code, error_envelope
-from .http import (_PROMETHEUS_CONTENT_TYPE, match_route, parse_json_body,
-                   query_flag, query_value, read_request_body)
+from ..obs.metrics import get_registry, merge_snapshots, render_prometheus
+from ..obs.trace import TRACE_HEADER, get_trace_store, record_span
+from .http import (_PROMETHEUS_CONTENT_TYPE, BaseHandler, parse_json_body,
+                   query_flag, query_value)
 from .jobs import JobManager
 from .pool import WorkerPool, shard_for
 from .registry import servable_names
-from .routes import API_PREFIX, deprecation_headers, openapi_spec, \
-    split_version
+from .routes import API_PREFIX, Route, openapi_spec
 
 __all__ = ["PoolRouter", "create_pool_server"]
 
@@ -66,7 +63,7 @@ __all__ = ["PoolRouter", "create_pool_server"]
 _UPSTREAM_TIMEOUT = 60.0
 #: Retry-After hint (seconds) on 429/503 — small, because overload on a
 #: micro-batching worker drains in milliseconds once clients pause.
-_RETRY_AFTER = 1
+_RETRY_HEADERS = (("Retry-After", "1"),)
 
 _LOG = get_logger("router")
 
@@ -137,13 +134,6 @@ class PoolRouter(ThreadingHTTPServer):
         self._m_inflight = registry.gauge(
             "repro_router_inflight",
             "Requests currently proxied per worker", ("worker",))
-        self._m_requests = registry.counter(
-            "repro_router_requests_total",
-            "Requests answered by the router", ("endpoint", "status"))
-        self._m_latency = registry.histogram(
-            "repro_router_request_seconds",
-            "End-to-end router handling time (admission + proxy + "
-            "failover)", ("endpoint",))
 
     # ------------------------------------------------------------------
     def try_acquire(self, index: int) -> bool:
@@ -187,111 +177,37 @@ class PoolRouter(ThreadingHTTPServer):
             connections.close()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Shard-route one request; never touch model state locally."""
+class _RouterHandler(BaseHandler):
+    """Proxy backend: shard-route inference, never touch model state."""
 
     server: PoolRouter
-    protocol_version = "HTTP/1.1"
-    verbose = False
+    requests_metric = ("repro_router_requests_total",
+                       "Requests answered by the router")
+    latency_metric = ("repro_router_request_seconds",
+                      "End-to-end router handling time (admission + proxy "
+                      "+ failover)")
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.verbose:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    def _send_raw(self, status: int, data: bytes, content_type: str,
-                  retry_after: int | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.send_header("Content-Length", str(len(data)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header(TRACE_HEADER, trace_id)
-        for name, value in getattr(self, "_extra_headers", ()):
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-        self._status = status
-
-    def _send_json(self, status: int, body: dict | list,
-                   retry_after: int | None = None) -> None:
-        self._send_raw(status, json.dumps(body).encode("utf-8"),
-                       "application/json", retry_after=retry_after)
-
-    def _send_error_json(self, status: int, message: str,
-                         retry_after: int | None = None,
-                         code: str | None = None) -> None:
-        self._send_json(status, error_envelope(
-            code or default_code(status), message,
-            trace_id=getattr(self, "_trace_id", None)),
-            retry_after=retry_after)
-
-    def _observe_request(self, endpoint: str, started: float) -> None:
-        if not obs_enabled():
-            return
-        server = self.server
-        server._m_requests.inc(endpoint=endpoint,
-                               status=getattr(self, "_status", 0))
-        server._m_latency.observe(time.perf_counter() - started,
-                                  endpoint=endpoint)
-
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._handle("DELETE")
-
-    def _handle(self, method: str) -> None:
-        raw_path, _, query = self.path.partition("?")
-        path, versioned = split_version(raw_path)
-        if not versioned:
-            self._extra_headers = deprecation_headers(path)
-        raw = b""
-        if method == "POST":
-            body = read_request_body(self)
-            if body is None:
-                return
-            raw = body
-        route, params = match_route(method, path)
-        endpoint = route.endpoint if route is not None else "other"
-        started = time.perf_counter()
-        try:
-            if route is None:
-                self._send_error_json(404, f"no such route: {self.path}",
-                                      code="not_found")
-            elif endpoint in ("predict", "neighbors", "search"):
-                self._handle_inference(endpoint, params, path, raw)
-            elif endpoint.startswith("jobs_"):
-                self._handle_jobs(endpoint, params, query, raw)
-            elif endpoint == "healthz":
-                self._handle_health()
-            elif endpoint == "stats":
-                self._handle_stats(verbose=query_flag(query, "verbose"))
-            elif endpoint == "metrics":
-                self._handle_metrics(query)
-            elif endpoint == "openapi":
-                self._send_json(200, openapi_spec())
-            elif endpoint == "models":
-                # Any worker answers identically (headers read from the
-                # shared model directory); use the ring so a dead worker
-                # is skipped.
-                self._route(0, "GET", f"{API_PREFIX}/models", b"")
-            else:  # pragma: no cover - table and dispatch kept in sync
-                self._send_error_json(404, f"no handler for {endpoint!r}",
-                                      code="not_found")
-        except Exception as exc:  # noqa: BLE001 - request boundary
-            status, code = classify_exception(exc)
-            message = (str(exc) if type(exc).__module__.startswith("repro")
-                       else f"{type(exc).__name__}: {exc}")
-            self._send_error_json(status, message, code=code)
-        finally:
-            self._observe_request(endpoint, started)
+    def _dispatch(self, route: Route, params: dict, path: str, query: str,
+                  raw: bytes) -> None:
+        endpoint = route.endpoint
+        if endpoint in ("predict", "neighbors", "search"):
+            self._handle_inference(endpoint, params, path, raw)
+        elif endpoint.startswith("jobs_"):
+            payload = self._payload(raw) if route.has_body else {}
+            self._serve_jobs(endpoint, params, query, payload)
+        elif endpoint == "healthz":
+            self._handle_health()
+        elif endpoint == "stats":
+            self._handle_stats(verbose=query_flag(query, "verbose"))
+        elif endpoint == "metrics":
+            self._handle_metrics(query)
+        elif endpoint == "openapi":
+            self._send_json(200, openapi_spec())
+        else:  # models
+            # Any worker answers identically (headers read from the
+            # shared model directory); use the ring so a dead worker is
+            # skipped.
+            self._route(0, "GET", f"{API_PREFIX}/models", b"")
 
     def _handle_inference(self, endpoint: str, params: dict, path: str,
                           raw: bytes) -> None:
@@ -300,45 +216,12 @@ class _RouterHandler(BaseHTTPRequestHandler):
             primary = self._search_shard(raw)
         else:
             primary = shard_for(params["name"], self.server.pool.n_workers)
-        # Mint (or adopt) the trace id here, at the pool's public edge;
-        # _proxy_once forwards it so the worker's spans share the id.
-        incoming = self.headers.get(TRACE_HEADER)
-        trace_id = incoming if valid_trace_id(incoming) else None
-        with request_trace(endpoint, trace_id=trace_id) as trace:
-            if trace is not None:
-                self._trace_id = trace.trace_id
+        # The trace opens here, at the pool's public edge; _proxy_once
+        # forwards its id so the worker's spans share it.
+        with self._request_trace(endpoint):
             # Proxy the canonical spelling whatever the client sent; the
             # deprecation headers (when due) are stamped router-side.
             self._route(primary, "POST", f"{API_PREFIX}{path}", raw)
-
-    def _handle_jobs(self, endpoint: str, params: dict, query: str,
-                     raw: bytes) -> None:
-        """Answer jobs routes from the router-owned :class:`JobManager`."""
-        jobs = self.server.jobs
-        if jobs is None:
-            self._send_error_json(
-                503, "the jobs API is not enabled on this pool",
-                code="jobs_disabled")
-            return
-        if endpoint == "jobs_submit":
-            try:
-                payload = parse_json_body(raw)
-            except ValueError as exc:
-                self._send_error_json(400, f"invalid JSON body: {exc}")
-                return
-            description, created = jobs.submit(payload)
-            self._trace_id = description.get("trace_id") or None
-            self._send_json(201 if created else 200, description)
-        elif endpoint == "jobs_list":
-            self._send_json(200, {"jobs": jobs.list_jobs()})
-        elif endpoint == "jobs_get":
-            self._send_json(200, jobs.get(params["id"]))
-        elif endpoint == "jobs_cancel":
-            self._send_json(200, jobs.cancel(params["id"]))
-        else:  # jobs_result
-            fmt = query_value(query, "format") or "json"
-            data, content_type = jobs.result_bytes(params["id"], fmt)
-            self._send_raw(200, data, content_type)
 
     def _search_shard(self, raw: bytes) -> int:
         """Primary worker for a ``/search`` body.
@@ -450,8 +333,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         if query_value(query, "format") == "json":
             self._send_json(200, merged)
         else:
-            self._send_raw(200, render_prometheus(merged).encode("utf-8"),
-                           _PROMETHEUS_CONTENT_TYPE)
+            self._send(200, render_prometheus(merged).encode("utf-8"),
+                       _PROMETHEUS_CONTENT_TYPE)
 
     # ------------------------------------------------------------------
     def _route(self, primary: int, method: str, path: str,
@@ -476,8 +359,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     self._send_error_json(
                         429, f"worker {index} at capacity "
                              f"({server.max_inflight} requests in flight); "
-                             f"retry shortly",
-                        retry_after=_RETRY_AFTER)
+                             f"retry shortly", headers=_RETRY_HEADERS)
                     return
                 attempted_failover = True
                 continue
@@ -504,14 +386,14 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 server.count("failover")
             server.count("routed")
             status, data, content_type = result
-            self._send_raw(status, data, content_type)
+            self._send(status, data, content_type)
             return
         server.count("unavailable")
         _LOG.error("no_worker_available", path=path,
                    workers=pool.n_workers)
         self._send_error_json(
             503, "no worker available for this request; retry shortly",
-            retry_after=_RETRY_AFTER)
+            headers=_RETRY_HEADERS)
 
     def _proxy_once(self, index: int, address: tuple[str, int], method: str,
                     path: str, body: bytes):
@@ -520,9 +402,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         conn = connections.acquire(address)
         headers = {"Content-Type": "application/json",
                    "Content-Length": str(len(body))}
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            headers[TRACE_HEADER] = trace_id
+        if self._trace_id:
+            headers[TRACE_HEADER] = self._trace_id
         try:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()

@@ -6,13 +6,19 @@ document and API.md.  These tests pin the invariant that none of the four
 can drift: every declared route answers on both server shapes, the spec
 served over the wire equals the one rendered from the table, the
 committed API.md contains every canonical path, legacy unversioned paths
-carry deprecation headers, and error responses use stable codes.
+carry deprecation headers, and error responses use stable codes.  Both
+shapes answer through one handler frame, so they also share its wire
+discipline: one write per response on a ``TCP_NODELAY`` socket, and every
+answered request counted, refused bodies included.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
+import socketserver
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +54,25 @@ def _request(port: int, method: str, path: str, body: bytes | None = None):
     result = (response.status, dict(response.getheaders()), data)
     conn.close()
     return result
+
+
+def _raw_exchange(port: int, raw: bytes):
+    """Send raw bytes, parse whatever HTTP response comes back."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(raw)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return (response.status, dict(response.getheaders()),
+                response.read())
+
+
+def _counter_value(port: int, name: str, **labels) -> float:
+    """Sum of a counter's series matching ``labels``, scraped over HTTP."""
+    _, _, data = _request(port, "GET", "/v1/metrics?format=json")
+    return sum(series["value"]
+               for series in json.loads(data).get(name, {}).get("series", [])
+               if all(str(series["labels"].get(key)) == str(value)
+                      for key, value in labels.items()))
 
 
 def _fill(path: str) -> str:
@@ -196,6 +221,83 @@ class _SurfaceChecks:
                                    b'{"vectors": [[0.0]]}')
         assert status == 404
         assert json.loads(data)["error"]["code"] == "not_found"
+        # Errors the stdlib detects before dispatch keep their status but
+        # use the envelope too: an unsupported method...
+        status, headers, data = _raw_exchange(
+            port, b"PUT /v1/models HTTP/1.1\r\nHost: x\r\n"
+                  b"Content-Length: 0\r\n\r\n")
+        assert status == 501
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(data)["error"]["code"] == default_code(501)
+        # ...and a request line that does not parse.
+        status, headers, data = _raw_exchange(port, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(data)["error"]["code"] == default_code(400)
+
+    @staticmethod
+    def assert_one_write_per_response(port: int, monkeypatch):
+        """Keep-alive answers leave in one write on a TCP_NODELAY socket.
+
+        A header block and a body in two writes with Nagle on make every
+        answer after the first wait for the client's delayed ACK.  The
+        handler instance is reused across the connection's requests, so
+        no header may leak from one answer into the next.
+        """
+        writes = []
+        original = socketserver._SocketWriter.write
+
+        def recording_write(writer, data):
+            nodelay = writer._sock.getsockopt(socket.IPPROTO_TCP,
+                                              socket.TCP_NODELAY)
+            writes.append((writer._sock.fileno(), nodelay))
+            return original(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            recording_write)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        requests = [("GET", "/v1/healthz", None),
+                    ("POST", "/v1/models/ghost/predict",
+                     b'{"vectors": [[0.0]]}'),
+                    ("GET", "/healthz", None),
+                    ("GET", "/v1/openapi.json", None),
+                    ("POST", "/v1/search", b"{nope")]
+        for answered, (method, path, body) in enumerate(requests, 1):
+            headers = {"Content-Type": "application/json"} if body else {}
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            response.read()
+            assert not response.will_close, path
+            assert len(writes) == answered, (path, writes)
+            if method == "GET":
+                assert response.getheader("X-Repro-Trace") is None, path
+                assert (response.getheader("Deprecation") is not None) \
+                    == (path == "/healthz"), path
+        conn.close()
+        # One accepted socket served them all, with Nagle off.
+        assert len({fileno for fileno, _ in writes}) == 1
+        assert all(nodelay for _, nodelay in writes)
+
+    @staticmethod
+    def assert_drain_rejections_counted(port: int, metric: str):
+        """A body refused before it is read still counts as a request."""
+        labels = {"endpoint": "search", "status": 413}
+        before = _counter_value(port, metric, **labels)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        conn.putrequest("POST", "/v1/search")
+        conn.putheader("Content-Length", str(1 << 30))
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 413
+        assert json.loads(response.read())["error"]["code"] == \
+            "payload_too_large"
+        conn.close()
+        # The counter is bumped just after the answer is written.
+        deadline = time.monotonic() + 5.0
+        while (_counter_value(port, metric, **labels) < before + 1
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert _counter_value(port, metric, **labels) == before + 1
 
 
 class TestSingleServerSurface(_SurfaceChecks):
@@ -206,6 +308,16 @@ class TestSingleServerSurface(_SurfaceChecks):
         self.assert_legacy_paths_deprecated(port)
         self.assert_error_envelopes(port)
 
+    def test_one_write_per_response(self, http_server, model_dir,
+                                    monkeypatch):
+        _, port = http_server(model_dir)
+        self.assert_one_write_per_response(port, monkeypatch)
+
+    def test_drain_rejections_counted(self, http_server, model_dir):
+        _, port = http_server(model_dir)
+        self.assert_drain_rejections_counted(port,
+                                             "repro_http_requests_total")
+
 
 class TestPoolRouterSurface(_SurfaceChecks):
     def test_surface(self, pool_server, model_dir):
@@ -214,3 +326,13 @@ class TestPoolRouterSurface(_SurfaceChecks):
         self.assert_openapi_served(port)
         self.assert_legacy_paths_deprecated(port)
         self.assert_error_envelopes(port)
+
+    def test_one_write_per_response(self, pool_server, model_dir,
+                                    monkeypatch):
+        _, port = pool_server(model_dir, workers=2)
+        self.assert_one_write_per_response(port, monkeypatch)
+
+    def test_drain_rejections_counted(self, pool_server, model_dir):
+        _, port = pool_server(model_dir, workers=2)
+        self.assert_drain_rejections_counted(port,
+                                             "repro_router_requests_total")
