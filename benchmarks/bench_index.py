@@ -1,17 +1,12 @@
 """Benchmark the vector-index subsystem: ANN vs exact-scan search.
 
-Three backends over the same clustered corpora (the embedding-space shape
+Two backends over the same clustered corpora (the embedding-space shape
 every pipeline in this library produces):
 
 * ``flat`` — exact blocked scan, the recall-1.0 baseline;
-* ``ivf`` — k-means cells + inverted lists, fully vectorised build, the
-  throughput backend (its probed-cell scan stays a handful of matmuls);
-* ``hnsw`` — navigable small-world graph.  Its beam search is python
-  control flow around batched numpy, so at bench sizes its QPS is
-  *structure-bound* rather than compute-bound — it is measured at
-  n∈{1k, 10k} only (build is O(n) python inserts; the cap is printed, not
-  silent) and its value here is recall-tunability (``ef_search``) plus
-  retrain-free incremental adds, not raw QPS.
+* ``ivf`` — k-means cells + inverted lists scanned exactly
+  (``coding="none"``), fully vectorised build, the throughput backend
+  (its probed-cell scan stays a handful of matmuls).
 
 Per backend and size: build seconds, single-row QPS, p50/p99 latency and
 recall@10 against the flat ground truth.  A second section times KNN-graph
@@ -48,15 +43,11 @@ _N_CLUSTERS = 20
 _N_QUERIES = 100
 _K = 10
 _SIZES = (1_000, 10_000, 100_000)
-#: HNSW build is O(n) python-loop inserts (~1 ms each); past this size the
-#: bench would spend minutes building one row, so HNSW stops here.
-_HNSW_MAX_N = 10_000
 
-#: Backend parameters per corpus size (recorded in the JSON): IVF probes
-#: more cells as nlist (~sqrt(n)) grows; HNSW keeps one moderate shape.
+#: IVF parameters per corpus size (recorded in the JSON): IVF probes more
+#: cells as nlist (~sqrt(n)) grows.
 _IVF_PARAMS = {1_000: {"nprobe": 8}, 10_000: {"nprobe": 8},
                100_000: {"nprobe": 24}}
-_HNSW_PARAMS = {"m": 8, "ef_construction": 80, "ef_search": 96}
 
 _GRAPH_N = 3_200
 _GRAPH_DIM = 768          # the scalability study's SBERT dimensionality
@@ -126,24 +117,18 @@ def _bench_size(rng: np.random.Generator, n: int) -> dict:
     flat_stats = _measure_queries(flat, Q, _K)
     row["flat"] = {"build_seconds": round(flat_build, 3), **flat_stats}
 
-    backends = [("ivf", _IVF_PARAMS[n])]
-    if n <= _HNSW_MAX_N:
-        backends.append(("hnsw", _HNSW_PARAMS))
-    else:
-        print(f"[bench_index] hnsw skipped at n={n} "
-              f"(python-loop build; capped at n={_HNSW_MAX_N})")
-    for backend, params in backends:
-        started = time.perf_counter()
-        index = create_index(backend, **params).build(X)
-        build = time.perf_counter() - started
-        stats = _measure_queries(index, Q, _K)
-        approx, _ = index.query(Q, _K)
-        row[backend] = {
-            "build_seconds": round(build, 3), **stats,
-            "recall_at_10": _recall(approx, truth),
-            "qps_speedup_vs_flat": round(stats["qps"] / flat_stats["qps"], 3),
-            "params": params,
-        }
+    params = _IVF_PARAMS[n]
+    started = time.perf_counter()
+    index = create_index("ivf", **params).build(X)
+    build = time.perf_counter() - started
+    stats = _measure_queries(index, Q, _K)
+    approx, _ = index.query(Q, _K)
+    row["ivf"] = {
+        "build_seconds": round(build, 3), **stats,
+        "recall_at_10": _recall(approx, truth),
+        "qps_speedup_vs_flat": round(stats["qps"] / flat_stats["qps"], 3),
+        "params": params,
+    }
     return row
 
 
@@ -235,9 +220,8 @@ def test_ann_index_beats_exact_scan(benchmark):
     assert top["qps_speedup_vs_flat"] >= 5.0, top
     assert top["recall_at_10"] >= 0.95, top
     for n in ("1000", "10000"):
-        for backend in ("ivf", "hnsw"):
-            assert results["sizes"][n][backend]["recall_at_10"] >= 0.9, (
-                n, backend, results["sizes"][n][backend])
+        assert results["sizes"][n]["ivf"]["recall_at_10"] >= 0.9, (
+            n, results["sizes"][n]["ivf"])
     # ... and the approximate KNN graph builds faster than the blocked
     # exact path while reproducing (essentially) the same edges.
     graph = results["knn_graph"]

@@ -125,10 +125,6 @@ def _metrics_index(doc: dict) -> dict[str, tuple[float, str]]:
             float(top["qps_speedup_vs_flat"]), "higher")
         metrics["ivf_recall_at_10@100k"] = (float(top["recall_at_10"]),
                                             "higher")
-    hnsw = doc.get("sizes", {}).get("10000", {}).get("hnsw")
-    if hnsw is not None:
-        metrics["hnsw_recall_at_10@10k"] = (float(hnsw["recall_at_10"]),
-                                            "higher")
     graph = doc.get("knn_graph")
     if graph is not None:
         metrics["knn_graph_build_speedup@3200"] = (

@@ -4,9 +4,10 @@ The script exercises the vector-index subsystem end to end in one process:
 
 1. trains a K-means schema-inference model on a small WebTables-style
    dataset and saves it as a versioned NPZ checkpoint;
-2. builds an :class:`repro.index.IVFFlatIndex` over the *same* training
-   embeddings — ids are the table names — and checkpoints it next to the
-   model (exactly what ``repro train --save ... --with-index ivf`` does);
+2. builds an exact-scan :class:`repro.index.IVFIndex` (``coding="none"``)
+   over the *same* training embeddings — ids are the table names — and
+   checkpoints it next to the model (exactly what ``repro train --save
+   ... --with-index ivf`` does);
 3. starts the stdlib JSON HTTP server and asks it, for a brand-new table,
    ``POST /search``: *which known tables is this one most similar to?*
    The raw item is embedded server-side in the index's training space;
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from repro import create_server, generate_webtables, save_checkpoint
 from repro.clustering import KMeans
-from repro.index import FlatIndex, IVFFlatIndex
+from repro.index import FlatIndex, IVFIndex
 from repro.tasks import embed_tables
 
 
@@ -55,7 +56,7 @@ def main() -> None:
 
     # 2. Index the training corpus under the tables' names.
     names = [table.name for table in dataset.tables]
-    index = IVFFlatIndex(nprobe=4).build(X, ids=names)
+    index = IVFIndex(coding="none", nprobe=4).build(X, ids=names)
     index.save(model_dir / "web.index.npz", metadata=metadata)
     print(f"indexed {index.size} tables "
           f"({index.backend}, {index.dim}-dim, metric={index.metric})")

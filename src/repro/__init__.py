@@ -30,9 +30,9 @@ then ``repro serve --model-dir models/``.
 
 Nearest-neighbour work — SDCN's KNN graph, DBSCAN's epsilon queries, and
 the serving API's similarity search — can route through the ANN vector
-indexes in :mod:`repro.index` (``FlatIndex``, ``IVFFlatIndex``,
-``HNSWIndex``), which persist and hot-reload through the same checkpoint
-machinery: ``repro train ... --with-index ivf`` then ``POST /search``.
+indexes in :mod:`repro.index` (``FlatIndex``, ``IVFIndex``), which
+persist and hot-reload through the same checkpoint machinery: ``repro
+train ... --with-index ivf`` then ``POST /search``.
 
 Models are also continuously updatable (:mod:`repro.stream`): ``repro
 stream`` replays a dataset as arrival batches with drift-aware incremental
@@ -89,8 +89,7 @@ from .embeddings import (
 )
 from .index import (
     FlatIndex,
-    HNSWIndex,
-    IVFFlatIndex,
+    IVFIndex,
     VectorIndex,
     create_index,
 )
@@ -203,8 +202,7 @@ __all__ = [
     "VectorIndex",
     "create_index",
     "FlatIndex",
-    "IVFFlatIndex",
-    "HNSWIndex",
+    "IVFIndex",
     "save_checkpoint",
     "load_checkpoint",
     "read_checkpoint_header",

@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also build a similarity-search index over "
                                 "the training embeddings and save it next "
                                 "to the checkpoint as <stem>.index.npz "
-                                "(backend: flat, ivf, hnsw or ivfpq; bare "
-                                "flag means ivf)")
+                                "(backend: flat, ivf or ivfpq; bare flag "
+                                "means ivf)")
 
     serve_cmd = sub.add_parser(
         "serve", help="serve a directory of checkpoints over HTTP")
@@ -498,11 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="IVF cells to probe for this query "
                                  "(ivf/ivfpq indexes; default: the "
                                  "index's build-time setting)")
-    search_cmd.add_argument("--ef-search", type=int, default=None,
-                            metavar="N",
-                            help="HNSW beam width for this query "
-                                 "(default: the index's build-time "
-                                 "setting)")
     search_cmd.add_argument("--rerank", type=int, default=None,
                             metavar="N",
                             help="exact-distance rerank depth for this "
@@ -960,7 +955,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     supported = index.query_tunables
     tunables = {}
     for field, value in (("nprobe", args.nprobe),
-                         ("ef_search", args.ef_search),
                          ("rerank", args.rerank)):
         if value is None:
             continue

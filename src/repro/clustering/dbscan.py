@@ -50,7 +50,7 @@ class DBSCAN(FittableMixin):
         :meth:`partial_fit` issue: ``"exact"`` (the default — a vectorised
         scan over all stored core points), ``"flat"`` (the same scan
         through the :mod:`repro.index` machinery) or the approximate
-        ``"ivf"``/``"hnsw"`` backends, which drop per-query cost below
+        ``"ivf"``/``"ivfpq"`` backends, which drop per-query cost below
         O(n_cores * d) at a small recall cost (a point whose true nearest
         core the index misses may be labelled noise or absorb a
         neighbouring cluster's label).

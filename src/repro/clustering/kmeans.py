@@ -23,7 +23,7 @@ class KMeans(FittableMixin):
     ``init="random"`` swaps the k-means++ seeding for a uniform sample of
     the data — the O(n * k * d) sequential seeding loop is the dominant
     cost when k is large relative to the iteration count, which is exactly
-    the coarse-quantizer regime :class:`repro.index.IVFFlatIndex` trains
+    the coarse-quantizer regime :class:`repro.index.IVFIndex` trains
     in (many cells, few Lloyd iterations, quality set by the data volume).
     """
 

@@ -41,7 +41,7 @@ class DeepClusteringConfig:
     builds a CSR adjacency with the blocked top-k search and keeps memory at
     O(n * k)).  ``graph_backend`` selects how the sparse graph's top-k
     search runs: ``"exact"`` is the blocked scan; ``"flat"``/``"ivf"``/
-    ``"hnsw"`` route through a :mod:`repro.index` vector index, dropping
+    ``"ivfpq"`` route through a :mod:`repro.index` vector index, dropping
     construction below the O(n^2 d) wall at a sliver of recall.
     ``batch_size`` enables mini-batch training: the auto-encoder
     pre-training always honours it, and SDCN/EDESC additionally fine-tune on

@@ -44,6 +44,14 @@ class SerializationError(ReproError):
     """Raised when a model checkpoint cannot be written or read back."""
 
 
+class RetiredCheckpointError(SerializationError):
+    """Raised when a checkpoint stores a class this release removed.
+
+    The file is intact; the fix is to rebuild it with a current backend,
+    so the serving layer answers 400, not the 500 of a corrupt file.
+    """
+
+
 class ServingError(ReproError):
     """Raised when the online inference layer receives an unservable request."""
 

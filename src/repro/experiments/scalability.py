@@ -99,7 +99,7 @@ def run_scalability_study(*, instance_grid: tuple[int, ...] = (200, 400, 800),
     ``graph`` / ``graph_backend`` / ``batch_size`` override the
     corresponding fields of ``config`` when given (``graph="sparse"`` is
     what pushes the instance sweep past the dense O(n^2) wall;
-    ``graph_backend="ivf"``/``"hnsw"`` additionally drops graph
+    ``graph_backend="ivf"`` additionally drops graph
     *construction* below the blocked exact scan).
     """
     config = config or DeepClusteringConfig(pretrain_epochs=10, train_epochs=10)

@@ -3,7 +3,7 @@
 * :mod:`repro.graphs.knn` — K-nearest-neighbour graph construction, the
   structural input of SDCN: a dense O(n^2) path, a blocked/sparse CSR
   path with O(n * k) memory, and ANN-accelerated backends
-  (``backend="ivf"|"hnsw"`` via :mod:`repro.index`) for sub-quadratic
+  (``backend="ivf"|"ivfpq"`` via :mod:`repro.index`) for sub-quadratic
   construction at scale.
 * :mod:`repro.graphs.gcn` — graph convolutional layer built on
   :mod:`repro.nn`, used by SDCN's GCN branch (dense or sparse propagation).

@@ -115,7 +115,7 @@ def ann_topk_neighbors(X, k: int = 10, *, metric: str = "cosine",
                        index_params: dict | None = None) -> np.ndarray:
     """Approximate counterpart of :func:`blocked_topk_neighbors`.
 
-    Builds a :mod:`repro.index` backend (``flat``, ``ivf`` or ``hnsw``)
+    Builds a :mod:`repro.index` backend (``flat``, ``ivf`` or ``ivfpq``)
     over ``X``, queries it with every row for ``k + 1`` neighbours, and
     strips each row's self-match — so the output has the same ``(n, k)``
     int64 shape and ordering contract as the exact path, with recall
@@ -190,11 +190,11 @@ def sparse_knn_graph(X, k: int = 10, *, metric: str = "cosine",
     search of :func:`blocked_topk_neighbors`, so peak memory is
     O(n * k + block_size * n) instead of O(n^2) — and the output is
     bit-identical to that path.  The other backends (``flat``, ``ivf``,
-    ``hnsw``) route the top-k search through a :mod:`repro.index` vector
+    ``ivfpq``) route the top-k search through a :mod:`repro.index` vector
     index (:func:`ann_topk_neighbors`), trading a sliver of recall for
     sub-quadratic construction — the knob that keeps SDCN/EDESC graph
     building tractable as n grows.  ``index_params`` is passed to the
-    index constructor (e.g. ``{"nprobe": 16}`` or ``{"m": 24}``).
+    index constructor (e.g. ``{"nprobe": 16}`` or ``{"nlist": 64}``).
     """
     X = check_matrix(X)
     n = X.shape[0]

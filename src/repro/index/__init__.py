@@ -7,21 +7,20 @@ points.  This package supplies the standard database answer, an ANN index,
 behind one protocol:
 
 * :class:`FlatIndex` — exact blocked scan; recall 1.0, the baseline;
-* :class:`IVFFlatIndex` — k-means coarse quantizer + inverted lists with
-  ``nprobe``-tunable recall and a fully vectorised build;
-* :class:`HNSWIndex` — navigable small-world graph with ``ef``-tunable
-  recall and sub-linear queries;
-* :class:`IVFPQIndex` — inverted lists of quantized codes
-  (:class:`ProductQuantizer` / :class:`ScalarQuantizer` from
-  :mod:`repro.index.quant`) with exact top-``rerank`` re-scoring and
-  memory-mapped, lazily loaded cells — the million-vector,
-  larger-than-RAM backend.
+* :class:`IVFIndex` — k-means coarse quantizer + inverted lists with
+  ``nprobe``-tunable recall and one ``coding`` option: ``"none"`` scans
+  the probed cells exactly (registry name ``"ivf"``), ``"pq"``/``"sq"``
+  score quantized codes (:class:`ProductQuantizer` /
+  :class:`ScalarQuantizer` from :mod:`repro.index.quant`) and re-score
+  the top ``rerank`` exactly (registry name ``"ivfpq"``).  Saved IVF
+  indexes load memory-mapped with lazily paged cells — the
+  million-vector, larger-than-RAM backend.  ``IVFPQIndex`` is the same
+  class under its former name.
 
 All backends support cosine and Euclidean metrics, incremental
-:meth:`add` for streaming (IVF-PQ: in-memory instances only), and
-round-trip through the versioned :mod:`repro.serialize` checkpoint
-format — so indexes persist, hot-reload and rotate alongside model
-generations.  Integration points:
+:meth:`add` for streaming, and round-trip through the versioned
+:mod:`repro.serialize` checkpoint format — so indexes persist,
+hot-reload and rotate alongside model generations.  Integration points:
 ``repro.graphs.knn.sparse_knn_graph(..., backend=...)`` for graph
 construction, ``DBSCAN(index=...)`` for out-of-sample density queries,
 and the serving API's ``POST /models/{name}/neighbors`` / ``POST
@@ -30,9 +29,7 @@ and the serving API's ``POST /models/{name}/neighbors`` / ``POST
 
 from .base import INDEX_BACKENDS, INDEX_DTYPE, VectorIndex, create_index
 from .flat import FlatIndex
-from .hnsw import HNSWIndex
-from .ivf import IVFFlatIndex
-from .ivfpq import IVFPQIndex
+from .ivf import IVFIndex, IVFPQIndex
 from .quant import ProductQuantizer, ScalarQuantizer
 from .storage import MappedArrays
 
@@ -42,8 +39,7 @@ __all__ = [
     "VectorIndex",
     "create_index",
     "FlatIndex",
-    "IVFFlatIndex",
-    "HNSWIndex",
+    "IVFIndex",
     "IVFPQIndex",
     "ProductQuantizer",
     "ScalarQuantizer",

@@ -1,6 +1,6 @@
 """Common machinery for the vector-index backends.
 
-:class:`VectorIndex` owns everything the three backends share — metric
+:class:`VectorIndex` owns everything the backends share — metric
 dispatch (through :mod:`repro.utils.metrics_dispatch`), the external-id
 mapping, the raw-vector store, input validation, the
 ``build/add/query/save/load`` surface and the :mod:`repro.serialize`
@@ -18,7 +18,9 @@ serving API report them uniformly.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -54,8 +56,7 @@ class VectorIndex:
     query batch with ``(positions, distances)``).
     """
 
-    #: Registry key of the backend (``"flat"``, ``"ivf"``, ``"hnsw"``,
-    #: ``"ivfpq"``).
+    #: Registry key of the backend (``"flat"``, ``"ivf"``, ``"ivfpq"``).
     backend: str = ""
 
     #: Query-time tunables the backend accepts (name -> minimum value).
@@ -132,8 +133,9 @@ class VectorIndex:
         On an empty index this is :meth:`build`.  Default ids continue the
         position numbering, so positions and default ids stay aligned.
         """
-        if self.vectors_ is None:
+        if self.size == 0:
             return self.build(X, ids=ids)
+        self._materialize()
         X = check_matrix(X, name="X", dtype=INDEX_DTYPE)
         if X.shape[1] != self.dim:
             raise IndexMismatchError(
@@ -168,8 +170,8 @@ class VectorIndex:
         distance.  Positions index :attr:`ids` / the build order; map them
         through :attr:`ids` for external ids.
 
-        ``tunables`` are per-request recall/latency knobs — ``nprobe`` and
-        ``rerank`` for the IVF family, ``ef_search`` for HNSW (see
+        ``tunables`` are per-request recall/latency knobs — ``nprobe`` for
+        the IVF indexes, plus ``rerank`` for the coded ones (see
         :attr:`query_tunables`).  They override the build-time defaults
         for this call only and never mutate the index, so concurrent
         queries with different settings are safe.
@@ -223,6 +225,13 @@ class VectorIndex:
         """Absorb rows ``start:`` of ``self._search_vectors`` incrementally."""
         raise NotImplementedError
 
+    def _materialize(self) -> None:
+        """Make the index writable in memory before :meth:`add` appends.
+
+        The default has nothing to do; indexes serving a memory-mapped
+        checkpoint copy it into memory here.
+        """
+
     def _search(self, Q: np.ndarray, k: int,
                 tunables: dict) -> tuple[np.ndarray, np.ndarray]:
         """Answer a validated, metric-transformed query batch.
@@ -257,38 +266,24 @@ class VectorIndex:
                 **self._state_params()}
 
     def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        """Numeric state: raw vectors, ids and backend structure."""
+        """Numeric state: raw vectors and ids."""
         self._require_built()
-        return {"vectors": self.vectors_, "ids": self.ids_,
-                **self._state_arrays()}
+        return {"vectors": self.vectors_, "ids": self.ids_}
 
     @classmethod
     def from_checkpoint(cls, params: dict, arrays: dict) -> "VectorIndex":
         """Rebuild an index from :mod:`repro.serialize` state."""
-        index = cls(metric=params["metric"], **cls._init_kwargs(params))
+        index = cls(metric=params["metric"])
         index.vectors_ = np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)
         ids = np.asarray(arrays["ids"])
         index.ids_ = ids if ids.dtype.kind in "US" else ids.astype(np.int64)
         index._search_vectors = index._as_search(index.vectors_)
-        index._restore(params, arrays)
+        index._rebuild()
         return index
 
     def _state_params(self) -> dict:
         """Backend-specific JSON-able state merged into the header params."""
         return {}
-
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        """Backend-specific arrays merged into the checkpoint payload."""
-        return {}
-
-    @classmethod
-    def _init_kwargs(cls, params: dict) -> dict:
-        """Constructor kwargs recovered from checkpoint params."""
-        return {}
-
-    def _restore(self, params: dict, arrays: dict) -> None:
-        """Restore backend structure (default: rebuild it from the vectors)."""
-        self._rebuild()
 
     # ------------------------------------------------------------------
     # save / load convenience over repro.serialize
@@ -347,37 +342,34 @@ class VectorIndex:
         return index
 
 
-def _backends() -> dict[str, type]:
-    """Backend name -> index class (import-light: resolved lazily)."""
+def _backends() -> dict[str, Callable[..., VectorIndex]]:
+    """Backend name -> index factory (import-light: resolved lazily)."""
     from .flat import FlatIndex
-    from .hnsw import HNSWIndex
-    from .ivf import IVFFlatIndex
-    from .ivfpq import IVFPQIndex
+    from .ivf import IVFIndex
 
-    return {FlatIndex.backend: FlatIndex,
-            IVFFlatIndex.backend: IVFFlatIndex,
-            HNSWIndex.backend: HNSWIndex,
-            IVFPQIndex.backend: IVFPQIndex}
+    return {"flat": FlatIndex,
+            "ivf": partial(IVFIndex, coding="none"),
+            "ivfpq": partial(IVFIndex, coding="pq")}
 
 
 #: Names accepted by :func:`create_index` (and the CLI/graph backends).
-INDEX_BACKENDS = ("flat", "ivf", "hnsw", "ivfpq")
+INDEX_BACKENDS = ("flat", "ivf", "ivfpq")
 
 
 def create_index(backend: str, *, metric: str = "cosine",
                  **params) -> VectorIndex:
     """Instantiate an index backend by name.
 
-    Extra keyword arguments are passed to the backend constructor
-    (``nlist``/``nprobe`` for IVF, ``m``/``ef_construction``/``ef_search``
-    for HNSW, ``nlist``/``nprobe``/``m``/``rerank``/``coding`` for
-    IVF-PQ); unknown backends raise
-    :class:`~repro.exceptions.ConfigurationError`.
+    ``"ivf"`` is an :class:`~repro.index.IVFIndex` with ``coding="none"``
+    and ``"ivfpq"`` one with ``coding="pq"``.  Extra keyword arguments
+    are passed to the constructor (``nlist``/``nprobe`` for IVF, plus
+    ``m``/``rerank``/``coding`` for the coded indexes); unknown backends
+    raise :class:`~repro.exceptions.ConfigurationError`.
     """
-    classes = _backends()
-    cls = classes.get(backend)
-    if cls is None:
+    factories = _backends()
+    factory = factories.get(backend)
+    if factory is None:
         raise ConfigurationError(
             f"unknown index backend {backend!r}; expected one of "
-            f"{sorted(classes)}")
-    return cls(metric=metric, **params)
+            f"{sorted(factories)}")
+    return factory(metric=metric, **params)

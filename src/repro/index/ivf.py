@@ -1,44 +1,111 @@
-"""IVF-Flat: k-means coarse quantizer + inverted lists, ``nprobe`` recall.
+"""IVF: k-means coarse quantizer + inverted lists, with optional coding.
 
-The classic database ANN layout (FAISS's ``IndexIVFFlat``): a k-means
-quantizer — :class:`repro.clustering.KMeans`, trained on a bounded sample —
-partitions the corpus into ``nlist`` cells, each holding the exact vectors
-assigned to it.  A query is compared against the ``nprobe`` nearest cell
-centroids only, then scanned exactly within those cells, so work per query
-drops from ``O(n*d)`` to roughly ``O((nlist + n*nprobe/nlist) * d)``.
-``nprobe`` trades recall for speed at query time without rebuilding.
+The classic database ANN layout (FAISS's ``IndexIVFFlat`` /
+``IndexIVFPQ``, Jégou et al.'s IVFADC): a k-means quantizer —
+:class:`repro.clustering.KMeans`, trained on a bounded sample —
+partitions the corpus into ``nlist`` cells.  A query is compared against
+the ``nprobe`` nearest cell centroids only and then scans just those
+cells, so work per query drops from ``O(n*d)`` to roughly
+``O((nlist + n*nprobe/nlist) * d)``.  ``nprobe`` trades recall for speed
+at query time without rebuilding.
 
-Incremental :meth:`IVFFlatIndex.add` assigns new vectors to their nearest
-existing cell — the streaming write path; the quantizer itself is only
-retrained by a fresh :meth:`IVFFlatIndex.build`.
+Every cell keeps its members' exact float32 vectors.  ``coding`` decides
+what else it keeps and how a probed cell is scanned:
+
+* ``coding="none"`` (registry name ``"ivf"``) — nothing else: the probed
+  cells are scanned exactly.  Small query batches scan cell by cell per
+  query; batches of at least ``nlist`` rows (KNN-graph construction,
+  where the corpus queries itself) loop over cells instead, one matmul
+  per cell against every query that probes it.
+* ``coding="pq"`` (registry name ``"ivfpq"``) — :class:`ProductQuantizer`
+  codes, ``m`` bytes per vector.  Candidates are scored by asymmetric
+  distance: one lookup-table build per probed cell, then ``m`` table
+  reads per candidate.
+* ``coding="sq"`` — :class:`ScalarQuantizer` codes, ``d`` bytes per
+  vector, scored against the int8 reconstructions.
+
+Codes quantize *residuals* (``x - centroid(cell)``), IVFADC-style: every
+member of a cell shares the coarse term, so spending the code budget on
+it would leave within-cell structure unresolved.  The identity
+``||q - x||^2 = ||(q - c) - (x - c)||^2`` keeps residual scores true
+squared distances to each candidate's reconstruction.  Approximate
+scores only *shortlist*: the top ``rerank`` candidates are re-scored
+against the exact vectors, so returned distances are true metric
+distances.  ``nprobe`` (and, for coded indexes, ``rerank``) are
+per-request tunables (:meth:`VectorIndex.query`).
 
 For ``metric="cosine"`` vectors are unit-normalised once at insert time;
 on the unit sphere the Euclidean and cosine orderings coincide, so the
-same Euclidean quantizer serves both metrics.
+same Euclidean quantizers serve both metrics.
+
+Incremental :meth:`VectorIndex.add` assigns new vectors to their nearest
+existing cell — the streaming write path; the quantizers are only
+retrained by a fresh :meth:`VectorIndex.build`.
+
+Checkpoints store each cell's exact vectors (and codes, when coded) as
+separate members (``cell.NNNNNN.vecs`` / ``cell.NNNNNN.codes``) marked
+lazy (``lazy_array_prefix``): :func:`repro.serialize.load_checkpoint`
+skips them and re-attaches the file through
+:class:`repro.index.storage.MappedArrays` instead.  A loaded index keeps
+only ids, assignments and the quantizers resident — cell data is paged
+in by the OS when a query probes the cell — so corpora larger than RAM
+load in milliseconds and serve within it.  Cell membership is *derived*,
+not stored: a stable argsort of the eagerly loaded assignments yields
+the per-cell member lists, so attachment touches zero lazy members.  An
+``add`` on an attached index first copies its cells into memory; the
+mapping it leaves behind keeps reading its own file generation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ConfigurationError, VectorIndexError
 from ..utils.metrics_dispatch import squared_euclidean_distances
 from .base import INDEX_DTYPE, VectorIndex
+from .quant import ProductQuantizer, ScalarQuantizer
+from .storage import MappedArrays
 
-__all__ = ["IVFFlatIndex"]
+__all__ = ["IVFIndex", "IVFPQIndex"]
 
 #: Row block for coarse-quantizer assignment: bounds the ``(rows, nlist)``
 #: distance temporary regardless of corpus size (the 1M-vector builds).
 _ASSIGN_BLOCK = 16384
+
+#: Quantizer k-means training sample: ``max(_TRAIN_MIN, _TRAIN_PER_LIST *
+#: nlist)`` rows, capped at n — centroid quality needs O(points-per-list)
+#: examples, not the whole corpus, and the cap is what keeps build cost
+#: bounded at large n (and large d).
+_TRAIN_PER_LIST = 16
+_TRAIN_MIN = 2048
+#: Lloyd iterations for the quantizer (FAISS-style: coarse cells converge
+#: in a few iterations; more buys nothing measurable).
+_TRAIN_ITER = 12
+
+#: Code-training sample cap: codebooks (and scalar ranges) converge on
+#: tens of thousands of rows; training on a full million-row corpus would
+#: dominate build time for no recall gain.
+_QUANT_TRAIN_MAX = 16384
+
+_CODINGS = ("none", "sq", "pq")
+
+#: Constructor parameters persisted in the checkpoint header.
+_PARAMS = ("nlist", "nprobe", "m", "rerank", "coding", "seed")
+
+#: Checkpoint member names of one cell's payload.  The ``array.`` prefix
+#: is repro.serialize's member namespace — the lazy store reads the same
+#: zip members the eager loader would have.
+_CODES_MEMBER = "array.cell.{:06d}.codes"
+_VECS_MEMBER = "array.cell.{:06d}.vecs"
 
 
 def nearest_cells(Q: np.ndarray, centroids: np.ndarray,
                   k: int) -> np.ndarray:
     """Indices of the ``k`` nearest centroids per query row (blocked).
 
-    Shared by the IVF family (flat and PQ): assignment at build time and
-    probe selection at query time are the same computation, blocked over
-    query rows so a million-row corpus never materialises an
-    ``(n, nlist)`` distance matrix at once.
+    Assignment at build time and probe selection at query time are the
+    same computation, blocked over query rows so a million-row corpus
+    never materialises an ``(n, nlist)`` distance matrix at once.
     """
     out = np.empty((Q.shape[0], min(k, centroids.shape[0])), dtype=np.int64)
     for start in range(0, Q.shape[0], _ASSIGN_BLOCK):
@@ -53,175 +120,430 @@ def nearest_cells(Q: np.ndarray, centroids: np.ndarray,
         out[start:stop] = np.take_along_axis(cells, order, axis=1)
     return out
 
-#: Quantizer k-means training sample: ``max(_TRAIN_MIN, _TRAIN_PER_LIST *
-#: nlist)`` rows, capped at n — centroid quality needs O(points-per-list)
-#: examples, not the whole corpus, and the cap is what keeps build cost
-#: bounded at large n (and large d).
-_TRAIN_PER_LIST = 16
-_TRAIN_MIN = 2048
-#: Lloyd iterations for the quantizer (FAISS-style: coarse cells converge
-#: in a few iterations; more buys nothing measurable).
-_TRAIN_ITER = 12
 
-
-class IVFFlatIndex(VectorIndex):
-    """Inverted-file index with exact residual scan inside probed cells.
+class IVFIndex(VectorIndex):
+    """Inverted-file index: exact or quantized scan of the probed cells.
 
     Parameters
     ----------
     nlist:
-        Number of k-means cells; ``None`` picks ``~sqrt(n)`` at build time
+        Number of coarse cells; ``None`` picks ``~sqrt(n)`` at build time
         (re-derived on every :meth:`build`).
     nprobe:
-        Cells scanned per query.  Raising it monotonically raises recall
-        towards the exact result (``nprobe=nlist`` *is* an exact scan).
+        Cells scanned per query (per-request tunable ``nprobe``).  Raising
+        it monotonically raises recall towards the exact result.
+    m:
+        Product-quantizer sub-spaces (bytes per stored code).  Clamped at
+        build time to the largest divisor of the dimensionality.  Used by
+        ``coding="pq"`` only.
+    rerank:
+        Shortlist size re-scored against exact vectors per query
+        (per-request tunable ``rerank``; ``0`` returns raw approximate
+        distances).  Used by the coded indexes only.
+    coding:
+        ``"none"`` (exact vectors only), ``"pq"`` (product quantizer, the
+        default) or ``"sq"`` (scalar int8).
     seed:
-        Seed for the quantizer's k-means (deterministic builds).
+        Seed for the coarse and product quantizer training.
     """
 
-    backend = "ivf"
-
-    _QUERY_TUNABLES = {"nprobe": 1}
+    #: Members under this prefix are skipped at load time and served
+    #: lazily from the file via attach_store().
+    lazy_array_prefix = "cell."
 
     def __init__(self, *, metric: str = "cosine", nlist: int | None = None,
-                 nprobe: int = 8, seed: int | None = 0) -> None:
+                 nprobe: int = 8, m: int = 8, rerank: int = 64,
+                 coding: str = "pq", seed: int | None = 0) -> None:
         super().__init__(metric=metric)
         if nlist is not None and nlist < 1:
-            raise ValueError("nlist must be >= 1 (or None for sqrt(n))")
+            raise ConfigurationError("nlist must be >= 1 (or None for sqrt(n))")
         if nprobe < 1:
-            raise ValueError("nprobe must be >= 1")
+            raise ConfigurationError("nprobe must be >= 1")
+        if m < 1:
+            raise ConfigurationError("m must be >= 1")
+        if rerank < 0:
+            raise ConfigurationError("rerank must be >= 0")
+        if coding not in _CODINGS:
+            raise ConfigurationError(
+                f"unknown coding {coding!r}; expected one of {_CODINGS}")
         self.nlist = nlist
         self.nprobe = int(nprobe)
+        self.m = int(m)
+        self.rerank = int(rerank)
+        self.coding = coding
         self.seed = seed
+        self.backend = "ivf" if coding == "none" else "ivfpq"
+        self._QUERY_TUNABLES = ({"nprobe": 1} if coding == "none"
+                                else {"nprobe": 1, "rerank": 0})
         self.centroids_: np.ndarray | None = None
         self.assignments_: np.ndarray | None = None
-        self._lists: list[np.ndarray] = []
-        # Contiguous per-cell copies of the (metric-transformed) vectors,
-        # plus their squared norms: a probed cell is scanned with a direct
-        # matmul instead of a fancy-indexed gather across the whole corpus
-        # — the gather's memcpy, not the arithmetic, dominates query cost.
-        self._cell_vectors: list[np.ndarray] = []
-        self._cell_sq: list[np.ndarray] = []
+        self.quantizer_ = None
+        # Derived layout (all resident, all computed from assignments_):
+        # _cells[c] lists cell c's member positions (a view of _order);
+        # _local_of maps a global position to its offset inside its cell.
+        self._order: np.ndarray | None = None
+        self._cells: list[np.ndarray] | None = None
+        self._local_of: np.ndarray | None = None
+        # Cell storage: in-memory blocks (build/add path; codes only when
+        # coded) or the mmap-backed store (load path) — exactly one is
+        # set on a built index.
+        self._cell_vecs: list[np.ndarray] | None = None
+        self._cell_codes: list[np.ndarray] | None = None
+        self._store: MappedArrays | None = None
+        # Squared norms per cell for the exact Euclidean scan, computed on
+        # first probe so an attached index never pages in unprobed cells.
+        self._norms: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
+    # introspection (an attached index has no resident vectors_)
+    @property
+    def size(self) -> int:
+        return (0 if self.assignments_ is None
+                else int(self.assignments_.shape[0]))
+
+    @property
+    def dim(self) -> int:
+        return (0 if self.centroids_ is None
+                else int(self.centroids_.shape[1]))
+
+    @property
+    def attached(self) -> bool:
+        """Is cell data served lazily from an mmap-backed checkpoint?"""
+        return self._store is not None
+
+    def _require_built(self) -> None:
+        if self.assignments_ is None:
+            raise VectorIndexError(
+                f"{type(self).__name__} is empty; call build() first")
+
+    def memory_bytes(self) -> int:
+        """Resident bytes of the index structure.
+
+        For an attached index this excludes the mmap-backed cell members
+        (the OS pages those in and out on demand) — it is the number the
+        memory-reduction benchmark reports.
+        """
+        self._require_built()
+        resident = [self.ids_, self.assignments_, self.centroids_,
+                    self._order, self._local_of,
+                    *self._norms.values()]
+        if self.quantizer_ is not None:
+            resident.extend(self.quantizer_.state_arrays().values())
+        total = sum(a.nbytes for a in resident if a is not None)
+        if not self.attached:
+            if self.vectors_ is not None:
+                total += self.vectors_.nbytes
+            if self._search_vectors is not None \
+                    and self._search_vectors is not self.vectors_:
+                total += self._search_vectors.nbytes
+            total += sum(b.nbytes for b in self._cell_codes or ())
+            total += sum(b.nbytes for b in self._cell_vecs or ())
+        return total
+
+    # ------------------------------------------------------------------
+    # layout
     def _effective_nlist(self, n: int) -> int:
         if self.nlist is not None:
             return min(self.nlist, n)
         return max(1, min(n, int(round(np.sqrt(n)))))
 
-    def _nearest_cells(self, Q: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the ``k`` nearest centroids per query row."""
-        return nearest_cells(Q, self.centroids_, k)
+    def _effective_m(self, d: int) -> int:
+        """Largest divisor of ``d`` no greater than the requested ``m``."""
+        m = min(self.m, d)
+        while d % m != 0:
+            m -= 1
+        return m
+
+    def _derive_layout(self) -> None:
+        """CSR cell membership from assignments — resident math only.
+
+        Stable argsort orders members by global position within each
+        cell, which is exactly the order cells are stored and saved in,
+        so derived membership and stored cell blocks always agree.
+        """
+        nlist = self.centroids_.shape[0]
+        n = self.assignments_.shape[0]
+        order = np.argsort(self.assignments_, kind="stable")
+        counts = np.bincount(self.assignments_, minlength=nlist)
+        starts = np.zeros(nlist + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        local = np.empty(n, dtype=np.int64)
+        local[order] = (np.arange(n, dtype=np.int64)
+                        - starts[self.assignments_[order]])
+        self._order, self._local_of = order, local
+        self._cells = np.split(order, starts[1:-1])
+
+    def _codes(self, cell: int) -> np.ndarray:
+        if self._store is not None:
+            return self._store[_CODES_MEMBER.format(cell)]
+        return self._cell_codes[cell]
+
+    def _vecs(self, cell: int) -> np.ndarray:
+        if self._store is not None:
+            return self._store[_VECS_MEMBER.format(cell)]
+        return self._cell_vecs[cell]
+
+    def _cell_sq(self, cell: int) -> np.ndarray:
+        norms = self._norms.get(cell)
+        if norms is None:
+            norms = np.sum(self._vecs(cell) ** 2, axis=1)
+            self._norms[cell] = norms
+        return norms
+
+    # ------------------------------------------------------------------
+    # build / add
+    def _train_sample(self, X: np.ndarray, cap: int) -> np.ndarray:
+        n = X.shape[0]
+        if n <= cap:
+            return X
+        rng = np.random.default_rng(self.seed)
+        return X[rng.choice(n, size=cap, replace=False)]
+
+    def _residual_sample(self, X: np.ndarray) -> np.ndarray:
+        """Bounded sample of residuals ``x - centroid(cell(x))``."""
+        n = X.shape[0]
+        if n > _QUANT_TRAIN_MAX:
+            rng = np.random.default_rng(self.seed)
+            pick = rng.choice(n, size=_QUANT_TRAIN_MAX, replace=False)
+        else:
+            pick = np.arange(n)
+        return X[pick] - self.centroids_[self.assignments_[pick]]
+
+    def _code_width(self) -> int:
+        return self.quantizer_.m if self.coding == "pq" else self.dim
+
+    def _encode_cell(self, vecs: np.ndarray, cell: int) -> np.ndarray:
+        if vecs.shape[0] == 0:
+            return np.empty((0, self._code_width()), dtype=np.uint8)
+        return self.quantizer_.encode(vecs - self.centroids_[cell])
 
     def _rebuild(self) -> None:
         from ..clustering import KMeans
 
         X = self._search_vectors
-        n = X.shape[0]
+        n, d = X.shape
         nlist = self._effective_nlist(n)
-        sample_size = min(n, max(_TRAIN_MIN, _TRAIN_PER_LIST * nlist))
-        if sample_size < n:
-            rng = np.random.default_rng(self.seed)
-            sample = X[rng.choice(n, size=sample_size, replace=False)]
-        else:
-            sample = X
+        sample = self._train_sample(
+            X, max(_TRAIN_MIN, _TRAIN_PER_LIST * nlist))
         quantizer = KMeans(nlist, n_init=1, max_iter=_TRAIN_ITER,
                            seed=self.seed, init="random")
         quantizer.fit(sample)
         self.centroids_ = np.asarray(quantizer.cluster_centers_,
                                      dtype=INDEX_DTYPE)
-        self.assignments_ = self._nearest_cells(X, 1)[:, 0].astype(np.int64)
-        self._build_cells()
+        self.assignments_ = nearest_cells(X, self.centroids_, 1)[:, 0]
+        self._derive_layout()
+        self._store, self._norms = None, {}
+        self._cell_vecs = [np.ascontiguousarray(X[members])
+                           for members in self._cells]
+        if self.coding == "none":
+            self.quantizer_, self._cell_codes = None, None
+            return
+        code_sample = self._residual_sample(X)
+        if self.coding == "pq":
+            self.quantizer_ = ProductQuantizer(
+                self._effective_m(d), seed=self.seed).train(code_sample)
+        else:
+            self.quantizer_ = ScalarQuantizer().train(code_sample)
+        self._cell_codes = [self._encode_cell(vecs, cell)
+                            for cell, vecs in enumerate(self._cell_vecs)]
 
-    def _build_cells(self) -> None:
-        """Derive inverted lists + contiguous cell storage from assignments."""
-        X = self._search_vectors
-        self._lists = [np.flatnonzero(self.assignments_ == cell)
-                       for cell in range(self.centroids_.shape[0])]
-        self._cell_vectors = [np.ascontiguousarray(X[members])
-                              for members in self._lists]
-        self._cell_sq = [np.sum(block ** 2, axis=1)
-                         for block in self._cell_vectors]
+    def _materialize(self) -> None:
+        """Copy an attached index's cells into memory before an append.
+
+        The mapping is closed afterwards; other loads of the same file
+        keep their own mappings, so they go on reading that generation.
+        """
+        if self._store is None:
+            return
+        nlist = self.centroids_.shape[0]
+        self._cell_vecs = [np.array(self._vecs(cell), dtype=INDEX_DTYPE)
+                           for cell in range(nlist)]
+        if self.quantizer_ is not None:
+            self._cell_codes = [np.array(self._codes(cell))
+                                for cell in range(nlist)]
+        search = np.empty((self.size, self.dim), dtype=INDEX_DTYPE)
+        search[self._order] = np.concatenate(self._cell_vecs)
+        # Attached checkpoints keep only the search representation (unit
+        # rows under cosine); it stands in for the raw vectors too.
+        self.vectors_ = self._search_vectors = search
+        store, self._store, self._norms = self._store, None, {}
+        store.close()
 
     def _append(self, start: int) -> None:
         fresh = self._search_vectors[start:]
-        cells = self._nearest_cells(fresh, 1)[:, 0].astype(np.int64)
+        cells = nearest_cells(fresh, self.centroids_, 1)[:, 0]
         self.assignments_ = np.concatenate([self.assignments_, cells])
-        positions = np.arange(start, start + fresh.shape[0], dtype=np.int64)
         for cell in np.unique(cells):
-            joined = cells == cell
-            members = positions[joined]
-            block = fresh[joined]
-            self._lists[cell] = np.concatenate([self._lists[cell], members])
-            self._cell_vectors[cell] = np.vstack(
-                [self._cell_vectors[cell], block])
-            self._cell_sq[cell] = np.concatenate(
-                [self._cell_sq[cell], np.sum(block ** 2, axis=1)])
+            block = np.ascontiguousarray(fresh[cells == cell])
+            self._cell_vecs[cell] = np.vstack([self._cell_vecs[cell], block])
+            if self._cell_codes is not None:
+                self._cell_codes[cell] = np.vstack(
+                    [self._cell_codes[cell], self._encode_cell(block, cell)])
+            self._norms.pop(int(cell), None)
+        # Appended rows have the largest global positions, so the stable
+        # re-derivation lands them at the tail of each cell segment —
+        # matching the vstack order above.
+        self._derive_layout()
 
     # ------------------------------------------------------------------
-    def _candidate_distances(self, Q: np.ndarray,
-                             candidates: np.ndarray) -> np.ndarray:
-        """Exact distances from the rows of ``Q`` to arbitrary positions.
+    # exact distances
+    def _exact_rows(self, positions: np.ndarray) -> np.ndarray:
+        """Exact (metric-transformed) vectors at arbitrary positions."""
+        if self._search_vectors is not None:
+            return self._search_vectors[positions]
+        out = np.empty((positions.shape[0], self.dim), dtype=INDEX_DTYPE)
+        cells = self.assignments_[positions]
+        local = self._local_of[positions]
+        for cell in np.unique(cells):
+            mask = cells == cell
+            out[mask] = self._vecs(cell)[local[mask]]
+        return out
 
-        Gathers across the corpus — only the rare pad/back-fill paths pay
-        this; hot paths scan the contiguous cell storage instead.
-        """
-        block = self._search_vectors[candidates]
+    def _exact_distances(self, query: np.ndarray,
+                         positions: np.ndarray) -> np.ndarray:
+        """Exact distances from one query row to arbitrary positions."""
+        block = self._exact_rows(positions)
         if self.metric == "cosine":
-            distances = 1.0 - Q @ block.T
+            distances = 1.0 - query @ block.T
             np.maximum(distances, 0.0, out=distances)
-            return distances
-        return np.sqrt(squared_euclidean_distances(Q, block))
+            return distances[0]
+        return np.sqrt(squared_euclidean_distances(query, block))[0]
 
-    def _cell_distances(self, Q: np.ndarray, q_sq: np.ndarray,
+    def _cell_distances(self, Q: np.ndarray, q_sq: np.ndarray | None,
                         cell: int) -> np.ndarray:
-        """Distances from the rows of ``Q`` to one cell's members."""
-        block = self._cell_vectors[cell]
+        """Exact distances from the rows of ``Q`` to one cell's members."""
+        block = self._vecs(cell)
+        if self._store is not None and not block.flags.aligned:
+            # A stored member may start at any byte offset of the file,
+            # and numpy hands only aligned operands to BLAS: copy, so an
+            # attached index answers bit-identically to the saved one.
+            block = np.array(block)
         if self.metric == "cosine":
             distances = 1.0 - Q @ block.T
             np.maximum(distances, 0.0, out=distances)
             return distances
-        d2 = q_sq[:, None] + self._cell_sq[cell][None, :] - 2.0 * (Q @ block.T)
+        d2 = q_sq[:, None] + self._cell_sq(cell)[None, :] - 2.0 * (Q @ block.T)
         return np.sqrt(np.maximum(d2, 0.0))
 
+    def _pad_pool(self, pool: np.ndarray, k: int) -> np.ndarray:
+        """Ensure at least ``k`` candidates (probed cells can under-fill).
+
+        Falls back to the first corpus positions not already pooled — the
+        result stays a valid (if lower-recall) top-k whose width always
+        matches the exact baseline's.
+        """
+        pool = np.unique(pool)
+        if pool.size >= k:
+            return pool
+        missing = np.setdiff1d(np.arange(self.size, dtype=np.int64), pool,
+                               assume_unique=True)[:k - pool.size]
+        return np.concatenate([pool, missing])
+
+    # ------------------------------------------------------------------
+    # search
     def _search(self, Q: np.ndarray, k: int,
                 tunables: dict) -> tuple[np.ndarray, np.ndarray]:
         nlist = self.centroids_.shape[0]
         nprobe = min(tunables.get("nprobe", self.nprobe), nlist)
-        probes = self._nearest_cells(Q, nprobe)
+        probes = nearest_cells(Q, self.centroids_, nprobe)
+        if self.quantizer_ is None and Q.shape[0] >= nlist:
+            return self._search_by_cell(Q, k, probes)
+        return self._search_by_row(Q, k, probes,
+                                   tunables.get("rerank", self.rerank))
+
+    @staticmethod
+    def _adc_row(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """ADC accumulation for one (query, cell) pair: ``m`` gathers."""
+        scores = lut[0, codes[:, 0]].copy()
+        for j in range(1, codes.shape[1]):
+            scores += lut[j, codes[:, j]]
+        return scores
+
+    def _approx_to_metric(self, scores: np.ndarray) -> np.ndarray:
+        """Squared-Euclidean scores as (approximate) metric distances."""
+        if self.metric == "cosine":
+            # Unit sphere: ||q - x||^2 = 2 (1 - cos), so halving recovers
+            # the cosine distance (up to quantization error).
+            return np.maximum(scores / 2.0, 0.0)
+        return np.sqrt(scores)
+
+    def _search_by_row(self, Q: np.ndarray, k: int, probes: np.ndarray,
+                       rerank: int) -> tuple[np.ndarray, np.ndarray]:
+        """Score each query's probed cells; coded scores are reranked.
+
+        Without coding every probed cell is scanned exactly, one small
+        matmul per cell.  With coding the cells' codes are scored and the
+        top ``rerank`` candidates re-scored against the exact vectors.
+        """
         q = Q.shape[0]
         indices = np.empty((q, k), dtype=np.int64)
         distances = np.empty((q, k), dtype=Q.dtype)
         q_sq = None if self.metric == "cosine" else np.sum(Q ** 2, axis=1)
-        if q < nlist:
-            # Few queries: scan each probed cell's contiguous block, one
-            # small matmul per cell (disjoint cells, so no dedup needed).
-            for row in range(q):
-                query = Q[row:row + 1]
-                row_sq = None if q_sq is None else q_sq[row:row + 1]
-                pools, dists = [], []
-                for cell in probes[row]:
-                    if self._lists[cell].size == 0:
-                        continue
-                    pools.append(self._lists[cell])
-                    dists.append(self._cell_distances(query, row_sq, cell)[0])
-                pool = (np.concatenate(pools) if pools
-                        else np.empty(0, dtype=np.int64))
-                if pool.size < k:
-                    pool = self._pad_pool(pool, k)
-                    d = self._candidate_distances(query, pool)[0]
+        for row in range(q):
+            query = Q[row:row + 1]
+            row_sq = None if q_sq is None else q_sq[row:row + 1]
+            luts = residuals = None
+            if self.quantizer_ is not None:
+                # Residual queries, one per probed cell: scores stay
+                # squared distances to the candidates' reconstructions.
+                residuals = query - self.centroids_[probes[row]]
+                if self.coding == "pq":
+                    luts = self.quantizer_.lookup_tables(residuals)
+            pools, chunks = [], []
+            for rank, cell in enumerate(probes[row]):
+                members = self._cells[cell]
+                if members.size == 0:
+                    continue
+                if residuals is None:
+                    chunk = self._cell_distances(query, row_sq, cell)[0]
+                elif luts is not None:
+                    chunk = self._adc_row(luts[rank], self._codes(cell))
                 else:
-                    d = np.concatenate(dists)
+                    chunk = squared_euclidean_distances(
+                        residuals[rank:rank + 1],
+                        self.quantizer_.decode(self._codes(cell)))[0]
+                pools.append(members)
+                chunks.append(chunk)
+            pool = (np.concatenate(pools) if pools
+                    else np.empty(0, dtype=np.int64))
+            if pool.size < k:
+                # Under-filled probes (tiny corpora): back-fill and score
+                # the whole pool exactly — correctness over speed on a
+                # path only small inputs hit.
+                pool = self._pad_pool(pool, k)
+                d = self._exact_distances(query, pool)
                 indices[row], distances[row] = self._top_k(d, pool, k)
-            return indices, distances
-        # Many queries (e.g. KNN-graph construction: the corpus queries
-        # itself): loop over *cells* instead — nlist well-shaped matmuls
-        # regardless of query count, each scanning one cell against every
-        # query that probes it (at whatever probe rank).
+                continue
+            scores = (np.concatenate(chunks) if len(chunks) > 1
+                      else chunks[0])
+            if residuals is None:
+                indices[row], distances[row] = self._top_k(scores, pool, k)
+                continue
+            if rerank == 0:
+                indices[row], distances[row] = self._top_k(
+                    self._approx_to_metric(scores), pool, k)
+                continue
+            shortlist = min(max(rerank, k), pool.size)
+            if pool.size > shortlist:
+                keep = np.argpartition(scores, kth=shortlist - 1)[:shortlist]
+                pool = pool[keep]
+            d = self._exact_distances(query, pool)
+            indices[row], distances[row] = self._top_k(d, pool, k)
+        return indices, distances
+
+    def _search_by_cell(self, Q: np.ndarray, k: int,
+                        probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact scan of many queries (e.g. KNN-graph construction).
+
+        Loops over *cells* instead of queries — ``nlist`` well-shaped
+        matmuls regardless of query count, each scanning one cell against
+        every query that probes it (at whatever probe rank).
+        """
+        q, nprobe = probes.shape
+        q_sq = None if self.metric == "cosine" else np.sum(Q ** 2, axis=1)
         pool_d = np.full((q, nprobe * k), np.inf, dtype=Q.dtype)
         pool_i = np.zeros((q, nprobe * k), dtype=np.int64)
-        for cell in range(nlist):
-            members = self._lists[cell]
+        for cell, members in enumerate(self._cells):
             if members.size == 0:
                 continue
             rows, ranks = np.nonzero(probes == cell)
@@ -255,42 +577,91 @@ class IVFFlatIndex(VectorIndex):
         for row in np.flatnonzero(filled < k):
             pool = pool_i[row][np.isfinite(pool_d[row])]
             cand = self._pad_pool(pool, k)
-            d = self._candidate_distances(Q[row:row + 1], cand)[0]
+            d = self._exact_distances(Q[row:row + 1], cand)
             indices[row], distances[row] = self._top_k(d, cand, k)
         return indices, distances
 
-    def _pad_pool(self, pool: np.ndarray, k: int) -> np.ndarray:
-        """Ensure at least ``k`` candidates (probed cells can under-fill).
-
-        Falls back to the first corpus positions not already pooled — the
-        result stays a valid (if lower-recall) top-k whose width always
-        matches the exact baseline's.
-        """
-        pool = np.unique(pool)
-        if pool.size >= k:
-            return pool
-        missing = np.setdiff1d(np.arange(self.size, dtype=np.int64), pool,
-                               assume_unique=True)[:k - pool.size]
-        return np.concatenate([pool, missing])
-
     # ------------------------------------------------------------------
-    # checkpoint protocol extensions
+    # checkpoint protocol
     def _state_params(self) -> dict:
-        return {"nlist": self.nlist, "nprobe": self.nprobe, "seed": self.seed}
+        return {name: getattr(self, name) for name in _PARAMS}
 
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {"centroids": self.centroids_,
-                "assignments": self.assignments_}
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        # Deliberately no flat "vectors" array: exact vectors live only in
+        # the per-cell members, which loaders map lazily.
+        self._require_built()
+        arrays = {"ids": self.ids_, "centroids": self.centroids_,
+                  "assignments": self.assignments_}
+        if self.quantizer_ is not None:
+            arrays.update(self.quantizer_.state_arrays())
+        for cell in range(self.centroids_.shape[0]):
+            if self.quantizer_ is not None:
+                arrays[f"cell.{cell:06d}.codes"] = self._codes(cell)
+            arrays[f"cell.{cell:06d}.vecs"] = self._vecs(cell)
+        return arrays
 
     @classmethod
-    def _init_kwargs(cls, params: dict) -> dict:
-        return {"nlist": params["nlist"], "nprobe": params["nprobe"],
-                "seed": params["seed"]}
+    def from_checkpoint(cls, params: dict, arrays: dict) -> "IVFIndex":
+        # Headers without a coding were written by the former IVF-Flat
+        # class, which had no codes.
+        kwargs = {"coding": "none",
+                  **{name: params[name] for name in _PARAMS
+                     if name in params}}
+        index = cls(metric=params["metric"], **kwargs)
+        ids = np.asarray(arrays["ids"])
+        index.ids_ = ids if ids.dtype.kind in "US" else ids.astype(np.int64)
+        index.centroids_ = np.asarray(arrays["centroids"], dtype=INDEX_DTYPE)
+        index.assignments_ = np.asarray(arrays["assignments"],
+                                        dtype=np.int64)
+        if "pq_codebooks" in arrays:
+            codebooks = np.asarray(arrays["pq_codebooks"])
+            index.quantizer_ = ProductQuantizer.from_state_arrays(
+                arrays, m=int(codebooks.shape[0]), seed=params.get("seed"))
+        elif "sq_min" in arrays:
+            index.quantizer_ = ScalarQuantizer.from_state_arrays(arrays)
+        index._derive_layout()
+        if "vectors" in arrays:
+            # Former IVF-Flat layout: flat vectors and no cell members.
+            # The stored assignments rebuild the cells exactly — the
+            # quantizer is NOT retrained, so answers stay bit-identical.
+            index.vectors_ = np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)
+            index._search_vectors = index._as_search(index.vectors_)
+            index._cell_vecs = [
+                np.ascontiguousarray(index._search_vectors[members])
+                for members in index._cells]
+        return index
 
-    def _restore(self, params: dict, arrays: dict) -> None:
-        # The stored assignments rebuild the inverted lists exactly; the
-        # quantizer is NOT retrained, so a reloaded index answers queries
-        # bit-identically to the instance that was saved.
-        self.centroids_ = np.asarray(arrays["centroids"], dtype=INDEX_DTYPE)
-        self.assignments_ = np.asarray(arrays["assignments"], dtype=np.int64)
-        self._build_cells()
+    def attach_store(self, path) -> None:
+        """Serve cell members lazily from the checkpoint at ``path``.
+
+        Called by :mod:`repro.serialize` after the eager (non-lazy)
+        arrays are restored.  The mapping holds its own file descriptor,
+        so hot rotation replacing ``path`` on disk never invalidates an
+        attached index — it keeps reading its own generation.  A former
+        IVF-Flat checkpoint has no cell members; its cells were rebuilt
+        in memory by :meth:`from_checkpoint` and nothing is attached.
+        """
+        if self._cell_vecs is not None:
+            return
+        store = MappedArrays(path)
+        if self.centroids_.shape[0] > 0 and _VECS_MEMBER.format(0) \
+                not in store:
+            store.close()
+            raise VectorIndexError(
+                f"{path} holds no cell members; not an IVF checkpoint")
+        self._store = store
+
+    def _quantizer_metadata(self) -> dict | None:
+        if self.quantizer_ is None:
+            return None
+        if self.coding == "pq":
+            codebooks = self.quantizer_.codebooks_
+            return {"coding": "pq", "m": int(codebooks.shape[0]),
+                    "n_codes": int(codebooks.shape[1]),
+                    "bytes_per_vector": int(codebooks.shape[0])}
+        return {"coding": "sq", "bits": 8, "bytes_per_vector": self.dim}
+
+
+#: The coded index under its former name (same class; ``coding`` defaults
+#: to ``"pq"``).
+IVFPQIndex = IVFIndex

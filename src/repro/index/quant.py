@@ -20,7 +20,7 @@ query has to touch so the hot set stays in fast memory:
 
 Both quantizers are deterministic given their seed/training data and
 round-trip their state through plain arrays (``state_arrays`` /
-``from_state_arrays``) so :class:`repro.index.IVFPQIndex` can persist
+``from_state_arrays``) so :class:`repro.index.IVFIndex` can persist
 them inside the versioned checkpoint format.
 """
 

@@ -12,10 +12,11 @@ over 10x cheaper (~72-87 ms -> ~5 ms in the stream-ingest benchmark on a
 2-core x86 box).  Deflated checkpoints written by earlier releases still
 load through :func:`numpy.load`; only this mapping rejects them.
 
-:class:`MappedArrays` is that map.  :class:`repro.index.IVFPQIndex` uses
-it for its inverted lists — a million-vector corpus attaches in
-milliseconds and only the probed cells' pages are ever faulted in, so
-corpora larger than RAM serve fine.  The ``touched`` set records which
+:class:`MappedArrays` is that map.  :class:`repro.index.IVFIndex` uses
+it for its inverted lists under every coding (exact vectors, and codes
+when coded) — a million-vector corpus attaches in milliseconds and only
+the probed cells' pages are ever faulted in, so corpora larger than RAM
+serve fine.  The ``touched`` set records which
 members have been materialised; the lazy-loading tests assert unprobed
 cells never appear in it.
 

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .exceptions import SerializationError
+from .exceptions import RetiredCheckpointError, SerializationError
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -71,19 +71,22 @@ def checkpointable_classes() -> dict[str, type]:
     """
     from .clustering import DBSCAN, Birch, KMeans
     from .dc import EDESC, SDCN, SHGP, Autoencoder, AutoencoderClustering
-    from .index import FlatIndex, HNSWIndex, IVFFlatIndex, IVFPQIndex
+    from .index import FlatIndex, IVFIndex
 
-    return {cls.__name__: cls
-            for cls in (KMeans, Birch, DBSCAN, Autoencoder,
-                        AutoencoderClustering, SDCN, EDESC, SHGP,
-                        FlatIndex, IVFFlatIndex, HNSWIndex, IVFPQIndex)}
+    classes = {cls.__name__: cls
+               for cls in (KMeans, Birch, DBSCAN, Autoencoder,
+                           AutoencoderClustering, SDCN, EDESC, SHGP,
+                           FlatIndex, IVFIndex)}
+    # Headers written before the IVF variants merged into one class.
+    classes.update(IVFFlatIndex=IVFIndex, IVFPQIndex=IVFIndex)
+    return classes
 
 
 def _lazy_member_prefix(cls) -> str | None:
     """NPZ member prefix of a class's lazily loaded arrays (or None).
 
     Classes that store data meant to be memory-mapped in place (the
-    IVF-PQ inverted lists) declare ``lazy_array_prefix``; loaders skip
+    IVF inverted lists) declare ``lazy_array_prefix``; loaders skip
     those ``array.<prefix>*`` members and call ``model.attach_store(path)``
     after reconstruction instead of materialising them.
     """
@@ -327,6 +330,10 @@ def load_checkpoint(path: str | Path):
         raise SerializationError(
             f"cannot read checkpoint {source}: {exc}") from exc
 
+    if header["class"] == "HNSWIndex":
+        raise RetiredCheckpointError(
+            f"{source} stores an 'HNSWIndex': the HNSW index backend was "
+            "removed; rebuild the index with backend 'ivf'")
     cls = classes.get(header["class"])
     if cls is None:
         raise SerializationError(

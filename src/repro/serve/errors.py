@@ -24,6 +24,7 @@ from ..exceptions import (
     ExperimentError,
     ExportError,
     JobError,
+    RetiredCheckpointError,
     SerializationError,
     ServingError,
     VectorIndexError,
@@ -78,9 +79,10 @@ def classify_exception(exc: Exception) -> tuple[int, str]:
 
     The mapping is intentionally coarse: everything a client could have
     prevented is 400 ``bad_request``, resolution failures are 404
-    ``not_found``, storage damage is 500 ``checkpoint_corrupt``, and
-    anything unrecognised is a 400 shape/validation error (models raise
-    plain ``ValueError`` for malformed matrices).
+    ``not_found``, storage damage is 500 ``checkpoint_corrupt`` (an
+    intact checkpoint of a retired class is 400: rebuilding it is the
+    caller's fix), and anything unrecognised is a 400 shape/validation
+    error (models raise plain ``ValueError`` for malformed matrices).
     """
     if isinstance(exc, ServingError):
         return ((404, "not_found") if "no model named" in str(exc)
@@ -88,6 +90,8 @@ def classify_exception(exc: Exception) -> tuple[int, str]:
     if isinstance(exc, JobError):
         return ((404, "not_found") if "no job" in str(exc)
                 else (400, "bad_request"))
+    if isinstance(exc, RetiredCheckpointError):
+        return (400, "bad_request")
     if isinstance(exc, SerializationError):
         return (500, "checkpoint_corrupt")
     if isinstance(exc, (EmbeddingError, VectorIndexError, ExperimentError,

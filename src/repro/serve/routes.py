@@ -81,7 +81,7 @@ ROUTES: tuple[Route, ...] = (
           has_body=True),
     Route("POST", "/v1/models/{name}/neighbors", "neighbors",
           "Top-k similarity search against a named vector index; the "
-          "body may carry per-request nprobe/ef_search/rerank tunables.",
+          "body may carry per-request nprobe/rerank tunables.",
           has_body=True),
     Route("POST", "/v1/search", "search",
           "Similarity search with the index named in the body (or the "

@@ -43,8 +43,10 @@ _MAX_NEIGHBORS = 1024
 
 #: Payload fields recognised as per-request index tunables.  Which of
 #: them a given request may use is decided by the *index* (its
-#: ``query_tunables`` contract): ``nprobe``/``rerank`` for the IVF
-#: family, ``ef_search`` for HNSW.
+#: ``query_tunables`` contract): ``nprobe`` for IVF, plus ``rerank`` for
+#: the coded IVF indexes.  ``ef_search`` (a graph-index beam width no
+#: current backend accepts) stays recognised so a body carrying it is
+#: refused with a clear 400 instead of silently ignored.
 _TUNABLE_FIELDS = ("ef_search", "nprobe", "rerank")
 
 #: Upper bound on any tunable value: the backends clamp internally, but
@@ -172,8 +174,8 @@ class PredictService:
         vector index.  The payload provides ``"vectors"`` or ``"items"``
         exactly like predict, plus an optional ``"k"`` (default 10) and
         any per-request tunables the index supports (``nprobe``,
-        ``ef_search``, ``rerank`` — validated against the backend's
-        contract, defaulting to its build-time settings).  Concurrent
+        ``rerank`` — validated against the backend's contract,
+        defaulting to its build-time settings).  Concurrent
         requests with the same ``k`` *and* tunables are micro-batched
         into shared index queries.  Returns ids, positions and distances
         per query row, each row ordered nearest first.
@@ -215,8 +217,8 @@ class PredictService:
                         payload) -> dict[str, int]:
         """Validated per-request tunables from a neighbors/search payload.
 
-        Unsupported fields fail loudly (a typo'd ``nprobe`` on an HNSW
-        index should be a 400, not a silently ignored knob); values must
+        Unsupported fields fail loudly (``rerank`` on an exact IVF index
+        should be a 400, not a silently ignored knob); values must
         be integers within the backend's declared minimum and a global
         sanity cap.
         """

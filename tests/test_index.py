@@ -26,8 +26,7 @@ from repro.index import (
     INDEX_BACKENDS,
     INDEX_DTYPE,
     FlatIndex,
-    HNSWIndex,
-    IVFFlatIndex,
+    IVFIndex,
     IVFPQIndex,
     VectorIndex,
     create_index,
@@ -42,10 +41,9 @@ from repro.serialize import (
 from repro.utils import pairwise_distances
 
 ALL_BACKENDS = [FlatIndex,
-                lambda **kw: IVFFlatIndex(nprobe=8, **kw),
-                lambda **kw: HNSWIndex(m=8, ef_construction=60, **kw),
+                lambda **kw: IVFIndex(coding="none", nprobe=8, **kw),
                 lambda **kw: IVFPQIndex(nlist=16, nprobe=8, m=4, **kw)]
-BACKEND_IDS = ["flat", "ivf", "hnsw", "ivfpq"]
+BACKEND_IDS = ["flat", "ivf", "ivfpq"]
 
 
 def clustered(n, dim=16, n_clusters=8, seed=0, scale=4.0):
@@ -105,6 +103,11 @@ class TestVectorIndexProtocol:
             create_index("annoy")
         with pytest.raises(ValueError):
             FlatIndex(metric="manhattan")
+        for backend in ("ivf", "ivfpq"):
+            with pytest.raises(ConfigurationError, match="nprobe"):
+                create_index(backend, nprobe=0)
+            with pytest.raises(ConfigurationError, match="nlist"):
+                create_index(backend, nlist=0)
 
     def test_create_index_covers_registry(self):
         for backend in INDEX_BACKENDS:
@@ -183,9 +186,9 @@ class TestExactness:
         assert np.allclose(distances, recomputed, atol=1e-3)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    @pytest.mark.parametrize("backend", ["ivf", "hnsw"])
+    @pytest.mark.parametrize("backend", ["ivf"])
     def test_ann_recall_at_default_settings(self, backend, metric):
-        """IVF/HNSW recall@10 >= 0.95 at default settings (clustered data)."""
+        """IVF recall@10 >= 0.95 at default settings (clustered data)."""
         X, centers = clustered(1200, dim=24, seed=3)
         rng = np.random.default_rng(7)
         Q = centers[np.arange(60) % centers.shape[0]] \
@@ -227,7 +230,7 @@ class TestGraphBackends:
         for row in range(X.shape[0]):
             assert set(blocked[row]) == set(via_index[row]), row
 
-    @pytest.mark.parametrize("backend", ["ivf", "hnsw"])
+    @pytest.mark.parametrize("backend", ["ivf"])
     def test_ann_graph_structure_and_recall(self, backend):
         X, _ = clustered(320, dim=16, seed=5)
         exact = sparse_knn_graph(X, 10)
@@ -245,7 +248,7 @@ class TestGraphBackends:
 
     def test_ann_topk_excludes_self(self):
         X, _ = clustered(90, dim=8)
-        for backend in ("flat", "ivf", "hnsw"):
+        for backend in ("flat", "ivf"):
             neighbors = ann_topk_neighbors(X, 5, backend=backend)
             assert neighbors.shape == (90, 5)
             assert (neighbors != np.arange(90)[:, None]).all(), backend
@@ -280,7 +283,7 @@ class TestDBSCANIndexBackends:
         flat = DBSCAN(min_samples=4, index="flat").fit(X).predict(Q)
         assert np.array_equal(exact, flat)
 
-    @pytest.mark.parametrize("backend", ["ivf", "hnsw"])
+    @pytest.mark.parametrize("backend", ["ivf"])
     def test_ann_backends_agree_with_exact(self, backend):
         X, centers = clustered(240, dim=10, seed=2)
         rng = np.random.default_rng(4)
@@ -345,13 +348,23 @@ class TestIndexCheckpoints:
 
     def test_add_after_reload(self, tmp_path):
         X, _ = clustered(120, dim=12)
-        index = IVFFlatIndex(nprobe=4).build(X[:100])
+        index = IVFIndex(coding="none", nprobe=4).build(X[:100])
         index.save(tmp_path / "ivf.npz")
         restored = VectorIndex.load(tmp_path / "ivf.npz")
         restored.add(X[100:])
         positions, distances = restored.query(X[100:105], 1)
         assert np.array_equal(positions[:, 0], np.arange(100, 105))
         assert (distances[:, 0] < 1e-5).all()
+
+    def test_exact_ivf_attaches_and_pages_only_probed_cells(self, tmp_path):
+        X, _ = clustered(300, dim=12)
+        create_index("ivf", nlist=12, nprobe=1).build(X).save(
+            tmp_path / "ivf.npz")
+        restored = VectorIndex.load(tmp_path / "ivf.npz")
+        assert restored.attached and restored._store.touched == set()
+        restored.query(X[:1], 3)
+        cell = int(restored.assignments_[0])
+        assert restored._store.touched == {f"array.cell.{cell:06d}.vecs"}
 
     def test_rotate_generations(self, tmp_path):
         X, _ = clustered(80, dim=12)
@@ -401,7 +414,7 @@ class TestServingNeighbors:
         X, _ = corpus
         save_checkpoint(tmp_path / "model.npz", KMeans(8, seed=0).fit(X),
                         metadata={"n_features": X.shape[1]})
-        index = IVFFlatIndex(nprobe=4).build(
+        index = IVFIndex(coding="none", nprobe=4).build(
             X, ids=[f"row-{i}" for i in range(X.shape[0])])
         index.save(tmp_path / "model.index.npz")
         server = create_server(tmp_path, port=0, reload_interval=0.05)
@@ -497,7 +510,7 @@ class TestServingNeighbors:
         for thread in threads:
             thread.start()
         # Two generation swaps while the clients hammer /search.
-        grown = IVFFlatIndex(nprobe=4).build(
+        grown = IVFIndex(coding="none", nprobe=4).build(
             np.vstack([X, X[:20] + 0.01]),
             ids=[f"row-{i}" for i in range(X.shape[0] + 20)])
         for _ in range(2):

@@ -30,8 +30,7 @@ from repro.serialize import (
 from repro.clustering import KMeans
 from repro.index import (
     FlatIndex,
-    HNSWIndex,
-    IVFFlatIndex,
+    IVFIndex,
     IVFPQIndex,
     MappedArrays,
 )
@@ -103,8 +102,7 @@ def test_roundtrip_bit_identical_predict(task, algorithm, task_matrices,
 
 _INDEXES = {
     "flat": FlatIndex,
-    "ivfflat": lambda: IVFFlatIndex(nlist=4, nprobe=2),
-    "hnsw": lambda: HNSWIndex(m=8, ef_construction=40),
+    "ivfflat": lambda: IVFIndex(coding="none", nlist=4, nprobe=2),
     "ivfpq": lambda: IVFPQIndex(nlist=4, nprobe=2, m=4),
 }
 
@@ -245,6 +243,94 @@ class TestCorruption:
         np.savez(path, **entries)
         with pytest.raises(SerializationError, match="inconsistent"):
             load_checkpoint(path)
+
+
+#: Index checkpoints written by the release before the IVF variants
+#: merged into one class, and the answers that release gave to ``Q``.
+LEGACY_INDEXES = REPO_ROOT / "tests" / "fixtures" / "legacy_index"
+
+
+class TestLegacyIndexCheckpoints:
+    """Checkpoints of the former index classes load or fail clearly."""
+
+    @pytest.mark.parametrize("name", ["ivfflat", "ivfpq"])
+    def test_former_ivf_classes_answer_as_before(self, name):
+        expected = np.load(LEGACY_INDEXES / "expected.npz")
+        index = load_checkpoint(LEGACY_INDEXES / f"{name}.npz")
+        assert type(index) is IVFIndex
+        positions, distances = index.query(expected["Q"], 5)
+        assert np.array_equal(positions, expected[f"{name}_positions"])
+        assert np.array_equal(distances, expected[f"{name}_distances"])
+
+    def test_former_ivf_flat_rebuilds_cells_from_stored_assignments(self):
+        path = LEGACY_INDEXES / "ivfflat.npz"
+        assert read_checkpoint_header(path)["class"] == "IVFFlatIndex"
+        index = load_checkpoint(path)
+        assert index.coding == "none" and index.backend == "ivf"
+        # No cell members to map: the cells were rebuilt in memory from
+        # the flat vectors, under the stored quantizer (no retraining).
+        assert not index.attached
+        with np.load(path) as payload:
+            assert np.array_equal(index.assignments_,
+                                  payload["array.assignments"])
+            assert np.array_equal(index.centroids_,
+                                  payload["array.centroids"])
+            vectors = payload["array.vectors"]
+        fresh = vectors[:3] + 0.5
+        index.add(fresh)
+        positions, _ = index.query(fresh, 1)
+        assert positions[:, 0].tolist() == [120, 121, 122]
+
+    def _retired_hnsw(self, directory: Path) -> Path:
+        """An index checkpoint whose header names the removed HNSW class."""
+        import json
+
+        with np.load(LEGACY_INDEXES / "ivfflat.npz") as payload:
+            entries = {name: payload[name] for name in payload.files}
+        header = json.loads(str(entries["__header__"][()]))
+        header["class"] = "HNSWIndex"
+        header["params"] = {"metric": "cosine", "backend": "hnsw", "m": 8,
+                            "ef_construction": 40, "ef_search": 64,
+                            "seed": 0}
+        header["metadata"]["backend"] = "hnsw"
+        entries["__header__"] = np.asarray(json.dumps(header))
+        path = directory / "graph.npz"
+        np.savez(path, **entries)
+        return path
+
+    def test_retired_hnsw_checkpoint_is_a_clear_error(self, tmp_path):
+        path = self._retired_hnsw(tmp_path)
+        with pytest.raises(SerializationError,
+                           match="HNSWIndex.*rebuild the index with "
+                                 "backend 'ivf'"):
+            load_checkpoint(path)
+
+    def test_retired_hnsw_checkpoint_is_not_a_server_error(self, tmp_path):
+        import json
+        import threading
+        import urllib.error
+        import urllib.request
+
+        from repro.serve import create_server
+
+        self._retired_hnsw(tmp_path)
+        server = create_server(tmp_path, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.server_address[1]}/v1/search",
+                data=json.dumps({"vectors": [[0.0] * 8]}).encode("utf-8"),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=15)
+            body = json.loads(caught.value.read())
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert caught.value.code == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "rebuild the index with backend 'ivf'" in \
+            body["error"]["message"]
 
 
 def write_deflated(path: Path, model, metadata: dict | None = None) -> Path:

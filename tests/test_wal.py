@@ -15,6 +15,7 @@ from faultinject import flip_byte, truncate_file
 from repro.clustering import KMeans
 from repro.exceptions import WALError
 from repro.serialize import (
+    checkpoint_generations,
     fsync_directory,
     load_checkpoint,
     read_checkpoint_header,
@@ -432,6 +433,44 @@ class TestRecovery:
         metadata = read_checkpoint_header(checkpoint)["metadata"]
         assert metadata["wal_applied"] == {"s": 2}
         assert metadata["wal_updates_applied"] == 2
+
+    @pytest.mark.parametrize("backend", ["ivf", "ivfpq"])
+    def test_replay_into_mmap_attached_index(self, tmp_path, backend):
+        """A saved IVF index loads mmap-attached; recovery must still add.
+
+        A 3-batch stream keeps an index beside the model; rolling the
+        index back one generation makes recovery replay the last batch
+        into the attached index, which must copy its cells into memory
+        instead of refusing, and land on the index the stream had.
+        """
+        import shutil
+
+        from repro.config import TEST_SCALE
+        from repro.experiments.streaming import run_stream_scenario
+
+        path = tmp_path / "live.npz"
+        index_path = tmp_path / "live.index.npz"
+        run_stream_scenario(
+            "entity_resolution", dataset="musicbrainz", scale=TEST_SCALE,
+            n_batches=3, seed=0, save_path=path, wal_dir=tmp_path / "wal",
+            with_index=backend)
+        tail = read_checkpoint_header(index_path)["metadata"]["wal_applied"]
+        live = load_checkpoint(index_path)
+        queries = np.random.default_rng(5).normal(size=(6, live.dim))
+        expected = live.query(queries, 5)
+
+        shutil.copy2(checkpoint_generations(index_path)[-1], index_path)
+        rolled = read_checkpoint_header(index_path)["metadata"]
+        assert rolled["wal_applied"]["stream"] == tail["stream"] - 1
+
+        report = recover_checkpoint(path, tmp_path / "wal")
+        assert report.index_replayed == {"stream": [tail["stream"]]}
+        assert read_checkpoint_header(index_path)["metadata"][
+            "wal_applied"] == tail
+        recovered = load_checkpoint(index_path)
+        assert recovered.size == live.size
+        for got, want in zip(recovered.query(queries, 5), expected):
+            assert np.array_equal(got, want)
 
 
 class TestAtomicWriteDurability:
