@@ -20,7 +20,9 @@ regresses past the thresholds:
 Every gated metric is a *same-machine ratio* (micro-batched vs per-request
 p99, incremental-update vs refit wall time, sparse vs dense peak memory),
 so a committed baseline transfers across hardware generations — a slower
-CI runner scales both sides of each ratio.
+CI runner scales both sides of each ratio.  A ratio the fresh run's
+machine cannot measure (pool scaling on fewer cores than the pool has
+workers) is reported ``skipped``, with the reason, instead of passing.
 
 Usage::
 
@@ -43,6 +45,9 @@ from pathlib import Path
 THROUGHPUT_DROP = 0.30
 #: Maximum allowed growth factor of a lower-is-better (latency-class) metric.
 LATENCY_GROWTH = 2.0
+#: Fewest cores on which the 4-worker pool scaling ratio means anything;
+#: below it the workers share cores and the ratio measures contention.
+POOL_SCALING_MIN_CPUS = 4
 
 
 def _metrics_serve(doc: dict) -> dict[str, tuple[float, str]]:
@@ -57,8 +62,8 @@ def _metrics_serve(doc: dict) -> dict[str, tuple[float, str]]:
     pool = doc.get("pool")
     if pool is not None:
         # Same-machine ratio (workers=4 vs workers=1 through the same
-        # router), so it transfers across runners; the baseline was
-        # recorded on a 1-core box, multi-core CI only raises it.
+        # router), so it transfers across runners; gated only on runs
+        # with enough cores (see _unmeasurable_serve).
         metrics["pool_throughput_scaling"] = (
             float(pool["throughput_scaling"]), "higher")
         metrics["pool_failed_requests"] = (
@@ -70,6 +75,19 @@ def _metrics_serve(doc: dict) -> dict[str, tuple[float, str]]:
         # are free, the bench itself asserts < 1.05.
         metrics["obs_overhead"] = (float(obs["overhead_ratio"]), "lower")
     return metrics
+
+
+def _unmeasurable_serve(doc: dict) -> dict[str, str]:
+    """Gated metrics this ``BENCH_serve.json`` run could not measure."""
+    pool = doc.get("pool")
+    if pool is None:
+        return {}
+    cpus = pool.get("cpu_count")
+    if cpus is None or cpus < POOL_SCALING_MIN_CPUS:
+        return {"pool_throughput_scaling":
+                f"measured on {cpus or 'an unrecorded number of'} core(s); "
+                f"4-worker scaling needs >= {POOL_SCALING_MIN_CPUS}"}
+    return {}
 
 
 def _metrics_stream(doc: dict) -> dict[str, tuple[float, str]]:
@@ -151,6 +169,11 @@ EXTRACTORS = {
     "BENCH_figure4_scalability.json": _metrics_figure4,
     "BENCH_index.json": _metrics_index,
 }
+#: Per bench file: the gated metrics a fresh run could not measure, with
+#: the reason (reported ``skipped``, never passed by default).
+UNMEASURABLE = {
+    "BENCH_serve.json": _unmeasurable_serve,
+}
 
 
 def _judge(name: str, kind: str, baseline: float,
@@ -189,9 +212,16 @@ def compare_file(name: str, baseline_path: Path,
     extractor = EXTRACTORS[name]
     baseline = extractor(
         json.loads(baseline_path.read_text(encoding="utf-8")))
-    current = extractor(json.loads(current_path.read_text(encoding="utf-8")))
+    current_doc = json.loads(current_path.read_text(encoding="utf-8"))
+    current = extractor(current_doc)
+    unmeasurable = UNMEASURABLE.get(name, lambda doc: {})(current_doc)
     rows = []
     for metric, (baseline_value, kind) in sorted(baseline.items()):
+        if metric in unmeasurable:
+            rows.append({"file": name, "metric": metric, "status": "skipped",
+                         "detail": f"{metric}: skipped, "
+                                   f"{unmeasurable[metric]}"})
+            continue
         if metric not in current:
             rows.append({"file": name, "metric": metric, "status": "fail",
                          "detail": f"{metric} missing from fresh measurement"})

@@ -778,7 +778,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"jobs {'off' if args.no_jobs else 'on'})",
           file=sys.stderr)
     # SIGTERM must run the same cleanup as Ctrl-C: the pool path owns
-    # worker processes and /dev/shm segments that server_close releases.
+    # worker processes that server_close stops.
     import signal
 
     def _terminate(signum, frame):

@@ -164,15 +164,18 @@ class KMeans(FittableMixin):
                                        ).astype(np.float64)
             self.n_seen_ = int(self.labels_.shape[0])
         labels, _ = self._assign(X, self.cluster_centers_)
+        # Update copies: a loaded model's arrays are read-only views.
         centers = self.cluster_centers_.copy()
+        counts = self.counts_.copy()
         for cluster in np.unique(labels):
             members = X[labels == cluster]
-            total = self.counts_[cluster] + members.shape[0]
+            total = counts[cluster] + members.shape[0]
             # Exact streaming-mean update: old_mean + (batch_sum - k*old)/total.
             centers[cluster] += (members.sum(axis=0)
                                  - members.shape[0] * centers[cluster]) / total
-            self.counts_[cluster] = total
+            counts[cluster] = total
         self.cluster_centers_ = centers
+        self.counts_ = counts
         self.n_seen_ += int(X.shape[0])
         # The training-time inertia no longer describes the updated centres.
         self.inertia_ = None

@@ -361,8 +361,8 @@ class SDCN(DeepClusterer):
                     config=config_from_dict(params["config"]))
         model.autoencoder_ = autoencoder_from_checkpoint(
             params["autoencoder"], split_prefixed_arrays(arrays, "ae"))
-        model.cluster_centers_ = Tensor(
-            np.asarray(arrays["cluster_centers"]).copy(), requires_grad=True)
+        model.cluster_centers_ = Tensor(arrays["cluster_centers"],
+                                        requires_grad=True)
         model.labels_ = np.asarray(arrays["labels"], dtype=np.int64)
         model.selected_branch_ = params["selected_branch"]
         if "fallback_params" in params:

@@ -276,7 +276,8 @@ class VectorIndex:
         index = cls(metric=params["metric"])
         index.vectors_ = np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)
         ids = np.asarray(arrays["ids"])
-        index.ids_ = ids if ids.dtype.kind in "US" else ids.astype(np.int64)
+        index.ids_ = ids if ids.dtype.kind in "US" \
+            else ids.astype(np.int64, copy=False)
         index._search_vectors = index._as_search(index.vectors_)
         index._rebuild()
         return index

@@ -43,20 +43,22 @@ existing cell — the streaming write path; the quantizers are only
 retrained by a fresh :meth:`VectorIndex.build`.
 
 Checkpoints store each cell's exact vectors (and codes, when coded) as
-separate members (``cell.NNNNNN.vecs`` / ``cell.NNNNNN.codes``) marked
-lazy (``lazy_array_prefix``): :func:`repro.serialize.load_checkpoint`
-skips them and re-attaches the file through
-:class:`repro.index.storage.MappedArrays` instead.  A loaded index keeps
-only ids, assignments and the quantizers resident — cell data is paged
-in by the OS when a query probes the cell — so corpora larger than RAM
-load in milliseconds and serve within it.  Cell membership is *derived*,
-not stored: a stable argsort of the eagerly loaded assignments yields
-the per-cell member lists, so attachment touches zero lazy members.  An
-``add`` on an attached index first copies its cells into memory; the
-mapping it leaves behind keeps reading its own file generation.
+separate members (``cell.NNNNNN.vecs`` / ``cell.NNNNNN.codes``).
+:func:`repro.serialize.load_checkpoint` hands ``from_checkpoint`` the
+checkpoint's file mapping (:class:`repro.index.storage.MappedArrays`),
+and the loaded index keeps it as its cell store: only ids, assignments
+and the quantizers are read at load — cell data is paged in by the OS
+when a query probes the cell — so corpora larger than RAM load in
+milliseconds and serve within it.  Cell membership is *derived*, not
+stored: a stable argsort of the assignments yields the per-cell member
+lists, so loading touches no cell member.  An ``add`` on an attached
+index first copies its cells into memory; the mapping it leaves behind
+keeps reading its own file generation.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -64,7 +66,6 @@ from ..exceptions import ConfigurationError, VectorIndexError
 from ..utils.metrics_dispatch import squared_euclidean_distances
 from .base import INDEX_DTYPE, VectorIndex
 from .quant import ProductQuantizer, ScalarQuantizer
-from .storage import MappedArrays
 
 __all__ = ["IVFIndex", "IVFPQIndex"]
 
@@ -92,11 +93,9 @@ _CODINGS = ("none", "sq", "pq")
 #: Constructor parameters persisted in the checkpoint header.
 _PARAMS = ("nlist", "nprobe", "m", "rerank", "coding", "seed")
 
-#: Checkpoint member names of one cell's payload.  The ``array.`` prefix
-#: is repro.serialize's member namespace — the lazy store reads the same
-#: zip members the eager loader would have.
-_CODES_MEMBER = "array.cell.{:06d}.codes"
-_VECS_MEMBER = "array.cell.{:06d}.vecs"
+#: Checkpoint array names of one cell's payload.
+_CODES_MEMBER = "cell.{:06d}.codes"
+_VECS_MEMBER = "cell.{:06d}.vecs"
 
 
 def nearest_cells(Q: np.ndarray, centroids: np.ndarray,
@@ -147,10 +146,6 @@ class IVFIndex(VectorIndex):
         Seed for the coarse and product quantizer training.
     """
 
-    #: Members under this prefix are skipped at load time and served
-    #: lazily from the file via attach_store().
-    lazy_array_prefix = "cell."
-
     def __init__(self, *, metric: str = "cosine", nlist: int | None = None,
                  nprobe: int = 8, m: int = 8, rerank: int = 64,
                  coding: str = "pq", seed: int | None = 0) -> None:
@@ -185,11 +180,11 @@ class IVFIndex(VectorIndex):
         self._cells: list[np.ndarray] | None = None
         self._local_of: np.ndarray | None = None
         # Cell storage: in-memory blocks (build/add path; codes only when
-        # coded) or the mmap-backed store (load path) — exactly one is
-        # set on a built index.
+        # coded) or the checkpoint's arrays, read lazily by member name
+        # (load path) — exactly one is set on a built index.
         self._cell_vecs: list[np.ndarray] | None = None
         self._cell_codes: list[np.ndarray] | None = None
-        self._store: MappedArrays | None = None
+        self._store: Mapping[str, np.ndarray] | None = None
         # Squared norms per cell for the exact Euclidean scan, computed on
         # first probe so an attached index never pages in unprobed cells.
         self._norms: dict[int, np.ndarray] = {}
@@ -350,7 +345,7 @@ class IVFIndex(VectorIndex):
     def _materialize(self) -> None:
         """Copy an attached index's cells into memory before an append.
 
-        The mapping is closed afterwards; other loads of the same file
+        The mapping is released afterwards; other loads of the same file
         keep their own mappings, so they go on reading that generation.
         """
         if self._store is None:
@@ -366,8 +361,7 @@ class IVFIndex(VectorIndex):
         # Attached checkpoints keep only the search representation (unit
         # rows under cosine); it stands in for the raw vectors too.
         self.vectors_ = self._search_vectors = search
-        store, self._store, self._norms = self._store, None, {}
-        store.close()
+        self._store, self._norms = None, {}
 
     def _append(self, start: int) -> None:
         fresh = self._search_vectors[start:]
@@ -413,11 +407,6 @@ class IVFIndex(VectorIndex):
                         cell: int) -> np.ndarray:
         """Exact distances from the rows of ``Q`` to one cell's members."""
         block = self._vecs(cell)
-        if self._store is not None and not block.flags.aligned:
-            # A stored member may start at any byte offset of the file,
-            # and numpy hands only aligned operands to BLAS: copy, so an
-            # attached index answers bit-identically to the saved one.
-            block = np.array(block)
         if self.metric == "cosine":
             distances = 1.0 - Q @ block.T
             np.maximum(distances, 0.0, out=distances)
@@ -609,7 +598,8 @@ class IVFIndex(VectorIndex):
                      if name in params}}
         index = cls(metric=params["metric"], **kwargs)
         ids = np.asarray(arrays["ids"])
-        index.ids_ = ids if ids.dtype.kind in "US" else ids.astype(np.int64)
+        index.ids_ = ids if ids.dtype.kind in "US" \
+            else ids.astype(np.int64, copy=False)
         index.centroids_ = np.asarray(arrays["centroids"], dtype=INDEX_DTYPE)
         index.assignments_ = np.asarray(arrays["assignments"],
                                         dtype=np.int64)
@@ -629,27 +619,13 @@ class IVFIndex(VectorIndex):
             index._cell_vecs = [
                 np.ascontiguousarray(index._search_vectors[members])
                 for members in index._cells]
+        elif index.centroids_.shape[0] > 0 \
+                and _VECS_MEMBER.format(0) not in arrays:
+            raise VectorIndexError("no cell members; not an IVF checkpoint")
+        else:
+            # Cells stay in the checkpoint: a probe reads its own members.
+            index._store = arrays
         return index
-
-    def attach_store(self, path) -> None:
-        """Serve cell members lazily from the checkpoint at ``path``.
-
-        Called by :mod:`repro.serialize` after the eager (non-lazy)
-        arrays are restored.  The mapping holds its own file descriptor,
-        so hot rotation replacing ``path`` on disk never invalidates an
-        attached index — it keeps reading its own generation.  A former
-        IVF-Flat checkpoint has no cell members; its cells were rebuilt
-        in memory by :meth:`from_checkpoint` and nothing is attached.
-        """
-        if self._cell_vecs is not None:
-            return
-        store = MappedArrays(path)
-        if self.centroids_.shape[0] > 0 and _VECS_MEMBER.format(0) \
-                not in store:
-            store.close()
-            raise VectorIndexError(
-                f"{path} holds no cell members; not an IVF checkpoint")
-        self._store = store
 
     def _quantizer_metadata(self) -> dict | None:
         if self.quantizer_ is None:

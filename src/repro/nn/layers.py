@@ -70,11 +70,19 @@ class Module:
         raise NotImplementedError
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Flat mapping of parameter index to a copy of its value."""
-        return {f"param_{i}": p.data.copy() for i, p in enumerate(self.parameters())}
+        """Flat mapping of parameter index to its value (not a copy).
+
+        The optimisers replace ``param.data`` rather than writing into
+        it, so a state taken before more training keeps its values.
+        """
+        return {f"param_{i}": p.data for i, p in enumerate(self.parameters())}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load values saved by :meth:`state_dict` (same architecture)."""
+        """Load values saved by :meth:`state_dict` (same architecture).
+
+        The arrays are adopted, not copied: a checkpoint's read-only
+        mapped views stay shared with every process that maps the file.
+        """
         params = self.parameters()
         if len(state) != len(params):
             raise ValueError(
@@ -85,7 +93,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for parameter {i}: "
                     f"{value.shape} vs {param.data.shape}")
-            param.data = value.copy()
+            param.data = np.asarray(value, dtype=np.float64)
 
 
 class Linear(Module):

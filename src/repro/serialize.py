@@ -12,6 +12,12 @@ A checkpoint is a single ``.npz`` file with two kinds of entries:
 
 Arrays round-trip bit-identically (NPZ stores the raw little-endian buffer),
 so a model reloaded in a fresh process reproduces ``predict`` exactly.
+Every member is written *stored* with its array data 64-byte aligned, and
+:func:`load_checkpoint` reads it back through one file mapping
+(:class:`repro.index.storage.MappedArrays`): ``from_checkpoint`` receives
+zero-copy read-only views, so processes serving the same file share one
+page-cache copy of its weights.  Deflated files written by earlier
+releases are read by :func:`numpy.load` instead.
 Writes are atomic *and durable*: the temp file is fsync'd before the
 ``os.replace`` and the containing directory is fsync'd after it, so a
 serving process scanning a model directory never observes a partial
@@ -36,13 +42,15 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .exceptions import RetiredCheckpointError, SerializationError
+from .exceptions import (
+    RetiredCheckpointError,
+    SerializationError,
+    VectorIndexError,
+)
 
 __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
-    "SharedCheckpointStore",
-    "attach_shared_checkpoint",
     "checkpoint_generations",
     "checkpointable_classes",
     "fsync_directory",
@@ -80,18 +88,6 @@ def checkpointable_classes() -> dict[str, type]:
     # Headers written before the IVF variants merged into one class.
     classes.update(IVFFlatIndex=IVFIndex, IVFPQIndex=IVFIndex)
     return classes
-
-
-def _lazy_member_prefix(cls) -> str | None:
-    """NPZ member prefix of a class's lazily loaded arrays (or None).
-
-    Classes that store data meant to be memory-mapped in place (the
-    IVF inverted lists) declare ``lazy_array_prefix``; loaders skip
-    those ``array.<prefix>*`` members and call ``model.attach_store(path)``
-    after reconstruction instead of materialising them.
-    """
-    prefix = getattr(cls, "lazy_array_prefix", None) if cls else None
-    return f"{_ARRAY_PREFIX}{prefix}" if prefix else None
 
 
 def fsync_directory(path: str | Path) -> None:
@@ -170,6 +166,8 @@ def save_checkpoint(path: str | Path, model, *,
                 "store numeric arrays only")
         payload[f"{_ARRAY_PREFIX}{name}"] = array
 
+    from .index.storage import write_aligned_npz
+
     destination = Path(path)
     destination.parent.mkdir(parents=True, exist_ok=True)
     # Atomic write so concurrent readers (the model registry) never see a
@@ -182,7 +180,8 @@ def save_checkpoint(path: str | Path, model, *,
     handle, tmp_name = tempfile.mkstemp(dir=destination.parent, suffix=".tmp")
     try:
         with os.fdopen(handle, "wb") as tmp:
-            np.savez(tmp, __header__=np.asarray(header_json), **payload)
+            write_aligned_npz(
+                tmp, {"__header__": np.asarray(header_json), **payload})
             tmp.flush()
             os.fsync(tmp.fileno())
         os.replace(tmp_name, destination)
@@ -283,6 +282,36 @@ def _load_header(payload, path: Path) -> dict:
     return header
 
 
+def _open_members(source: Path):
+    """The validated header and the members of the checkpoint at ``source``.
+
+    A stored file — every file this release writes — is mapped
+    (:class:`repro.index.storage.MappedArrays`).  A file with deflated
+    members, written before checkpoints were stored, is opened with
+    :func:`numpy.load`, its only reader.  Either way ``members`` is a
+    lazy mapping from member name to array, with a ``close()``.
+    """
+    from .index.storage import MappedArrays
+
+    if not source.exists():
+        raise SerializationError(f"checkpoint not found: {source}")
+    try:
+        try:
+            members = MappedArrays(source)
+        except VectorIndexError:  # a deflated member: cannot be mapped
+            members = np.load(source, allow_pickle=False)
+        try:
+            return _load_header(members, source), members
+        except BaseException:
+            members.close()
+            raise
+    except SerializationError:
+        raise
+    except Exception as exc:  # zipfile.BadZipFile, OSError, KeyError, ...
+        raise SerializationError(
+            f"cannot read checkpoint {source}: {exc}") from exc
+
+
 def read_checkpoint_header(path: str | Path) -> dict:
     """Read and validate only the header of a checkpoint (cheap).
 
@@ -290,17 +319,9 @@ def read_checkpoint_header(path: str | Path) -> dict:
     weights.  Raises :class:`SerializationError` for anything that is not a
     valid checkpoint of the current format version.
     """
-    source = Path(path)
-    if not source.exists():
-        raise SerializationError(f"checkpoint not found: {source}")
-    try:
-        with np.load(source, allow_pickle=False) as payload:
-            return _load_header(payload, source)
-    except SerializationError:
-        raise
-    except Exception as exc:  # zipfile.BadZipFile, OSError, KeyError, ...
-        raise SerializationError(
-            f"cannot read checkpoint {source}: {exc}") from exc
+    header, members = _open_members(Path(path))
+    members.close()
+    return header
 
 
 def load_checkpoint(path: str | Path):
@@ -309,282 +330,48 @@ def load_checkpoint(path: str | Path):
     Returns the model instance; its header (including user metadata) is
     attached as ``model.checkpoint_header_`` for callers that need the
     training context (the serving layer reads task/embedding from it).
+
+    The model's arrays are read-only views into the file's mapping, so a
+    model that updates its state must replace arrays, not write into
+    them.  Every member read while building the model is checked against
+    its zip CRC-32; members a model maps lazily (IVF cells) are paged in
+    at query time instead.
     """
+    from .index.storage import MappedArrays
+
     source = Path(path)
-    if not source.exists():
-        raise SerializationError(f"checkpoint not found: {source}")
+    header, members = _open_members(source)
+    mapped = isinstance(members, MappedArrays)
     classes = checkpointable_classes()
     try:
-        with np.load(source, allow_pickle=False) as payload:
-            header = _load_header(payload, source)
-            # Resolve the class *before* touching arrays so its lazy
-            # members (mmap-served inverted lists) are never materialised.
-            skip = _lazy_member_prefix(classes.get(header["class"]))
-            arrays = {name[len(_ARRAY_PREFIX):]: payload[name]
-                      for name in payload.files
-                      if name.startswith(_ARRAY_PREFIX)
-                      and not (skip and name.startswith(skip))}
-    except SerializationError:
-        raise
-    except Exception as exc:
-        raise SerializationError(
-            f"cannot read checkpoint {source}: {exc}") from exc
-
-    if header["class"] == "HNSWIndex":
-        raise RetiredCheckpointError(
-            f"{source} stores an 'HNSWIndex': the HNSW index backend was "
-            "removed; rebuild the index with backend 'ivf'")
-    cls = classes.get(header["class"])
-    if cls is None:
-        raise SerializationError(
-            f"{source} stores a {header['class']!r} model, which this build "
-            f"does not know how to load (expected one of {sorted(classes)})")
-    try:
+        if header["class"] == "HNSWIndex":
+            raise RetiredCheckpointError(
+                f"{source} stores an 'HNSWIndex': the HNSW index backend "
+                "was removed; rebuild the index with backend 'ivf'")
+        cls = classes.get(header["class"])
+        if cls is None:
+            raise SerializationError(
+                f"{source} stores a {header['class']!r} model, which this "
+                "build does not know how to load (expected one of "
+                f"{sorted(classes)})")
+        if mapped:
+            arrays = members.subset(_ARRAY_PREFIX)
+        else:
+            arrays = {name[len(_ARRAY_PREFIX):]: members[name]
+                      for name in members.files
+                      if name.startswith(_ARRAY_PREFIX)}
         model = cls.from_checkpoint(header["params"], arrays)
-        if skip is not None:
-            model.attach_store(source)
     except SerializationError:
+        members.close()
         raise
     except Exception as exc:
+        members.close()
         raise SerializationError(
             f"checkpoint {source} is inconsistent for class "
             f"{header['class']}: {exc}") from exc
-    model.checkpoint_header_ = header
-    return model
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory-backed checkpoint loading (the pre-fork serving pool).
-#
-# A pool of N worker processes serving one model directory would otherwise
-# hold N private copies of every checkpoint's arrays.  The parent instead
-# loads each checkpoint's arrays once into ``multiprocessing.shared_memory``
-# segments *before* forking and hands the workers a JSON-able manifest
-# (path -> mtime + per-array segment name/dtype/shape); a worker's registry
-# attaches the segments and rebuilds the model on zero-copy, read-only
-# views.  A checkpoint rotated after boot no longer matches its manifest
-# mtime and silently falls back to an ordinary disk load, so hot reload
-# keeps working — shared memory is a boot-time dedup, not a cache layer.
-
-
-class _MappedSegment:
-    """Read-only ``mmap`` of a POSIX shared-memory segment.
-
-    Duck-types the one attribute attachment needs (``buf``) without going
-    through :class:`multiprocessing.shared_memory.SharedMemory`, whose
-    attach path registers the segment with the *shared* resource-tracker
-    process — N workers attaching the same name dedupe in the tracker's
-    set, so their balanced unregisters race into KeyError noise (and on
-    Python < 3.13 a worker exit could even unlink the parent's segment).
-    A plain mapping of ``/dev/shm/<name>`` has no lifetime side effects
-    at all: the parent alone owns creation and unlinking.
-    """
-
-    def __init__(self, path) -> None:
-        import mmap
-
-        with open(path, "rb") as handle:
-            self._map = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        self.buf = memoryview(self._map)
-
-
-def _attach_segment(name: str):
-    """Attach an existing shared-memory segment without owning its lifetime."""
-    shm_path = Path("/dev/shm") / name
-    if shm_path.exists():
-        return _MappedSegment(shm_path)
-    # Non-Linux fallback: the stdlib attach.  3.13+ has track=False for
-    # exactly this use; older versions need the unregister dance (which
-    # can still produce harmless tracker noise across many workers).
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13, non-Linux
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
-        return segment
-
-
-class SharedCheckpointStore:
-    """Parent-side owner of shared-memory copies of checkpoint arrays.
-
-    ``share(path)`` loads one checkpoint's arrays into fresh segments;
-    ``share_directory(model_dir)`` sweeps every servable checkpoint.  The
-    resulting :attr:`manifest` is picklable and travels to the workers
-    (fork, forkserver or spawn — workers attach by segment name either
-    way).  The store must outlive the workers; ``close()`` unlinks every
-    segment.  Checkpoints that cannot be shared (unreadable, empty) are
-    skipped rather than failing the boot — sharing is an optimisation,
-    never a correctness requirement.
-    """
-
-    def __init__(self, prefix: str = "repro-ckpt") -> None:
-        self.prefix = prefix
-        self.manifest: dict[str, dict] = {}
-        self._segments: list = []
-        self._counter = 0
-
-    def share(self, path: str | Path) -> bool:
-        """Load ``path``'s arrays into shared memory; was it shared?"""
-        from multiprocessing import shared_memory
-
-        source = Path(path).resolve()
-        try:
-            with np.load(source, allow_pickle=False) as payload:
-                header = _load_header(payload, source)
-                # Lazy members stay on disk: every worker mmaps the same
-                # file, so the page cache already dedups them — copying
-                # them into /dev/shm would *add* a resident copy.
-                skip = _lazy_member_prefix(
-                    checkpointable_classes().get(header.get("class")))
-                arrays = {name[len(_ARRAY_PREFIX):]: payload[name]
-                          for name in payload.files
-                          if name.startswith(_ARRAY_PREFIX)
-                          and not (skip and name.startswith(skip))}
-            mtime_ns = source.stat().st_mtime_ns
-        except Exception:  # corrupt/foreign/unreadable: worker loads privately
-            return False
-        entries: dict[str, dict] = {}
-        created: list = []
-        try:
-            for name, array in arrays.items():
-                array = np.ascontiguousarray(array)
-                spec = {"dtype": array.dtype.str,
-                        "shape": [int(dim) for dim in array.shape]}
-                if array.nbytes == 0:
-                    # A zero-byte segment is invalid; the shape+dtype alone
-                    # reconstruct an empty array exactly.
-                    spec["empty"] = True
-                else:
-                    self._counter += 1
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=array.nbytes,
-                        name=f"{self.prefix}-{os.getpid()}-{self._counter}")
-                    created.append(segment)
-                    view = np.ndarray(array.shape, dtype=array.dtype,
-                                      buffer=segment.buf)
-                    view[...] = array
-                    spec["segment"] = segment.name
-                entries[name] = spec
-        except OSError:
-            # /dev/shm full or unavailable: roll back this checkpoint's
-            # segments and serve it from per-worker private copies instead.
-            for segment in created:
-                segment.close()
-                try:
-                    segment.unlink()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            return False
-        self._segments.extend(created)
-        self.manifest[str(source)] = {"mtime_ns": mtime_ns,
-                                      "header": header, "arrays": entries}
-        return True
-
-    def share_directory(self, model_dir: str | Path) -> list[str]:
-        """Share every servable ``*.npz`` checkpoint in ``model_dir``."""
-        shared = []
-        for path in sorted(Path(model_dir).glob("*.npz")):
-            if path.stem.startswith("."):
-                continue
-            if self.share(path):
-                shared.append(path.stem)
-        return shared
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes resident in shared segments."""
-        return sum(segment.size for segment in self._segments)
-
-    def close(self, *, unlink: bool = True) -> None:
-        """Detach (and by default destroy) every owned segment."""
-        segments, self._segments = self._segments, []
-        self.manifest.clear()
-        for segment in segments:
-            try:
-                segment.close()
-                if unlink:
-                    segment.unlink()
-            except OSError:  # pragma: no cover - concurrent shutdown
-                pass
-
-    def __enter__(self) -> "SharedCheckpointStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-#: Worker-side attachments, keyed by segment name.  The arrays handed to
-#: ``from_checkpoint`` are views into these buffers, so the SharedMemory
-#: objects must stay referenced for as long as any model might.
-_ATTACHED_SEGMENTS: dict[str, object] = {}
-
-
-def attach_shared_checkpoint(path: str | Path, manifest: dict):
-    """Rebuild the model at ``path`` from a shared-memory manifest.
-
-    Returns the model (its arrays zero-copy, read-only views into the
-    parent's segments) or ``None`` when the checkpoint is not in the
-    manifest, was rotated since the manifest was built (mtime mismatch),
-    or cannot be attached — callers fall back to :func:`load_checkpoint`.
-    A model whose ``from_checkpoint`` insists on writable arrays gets
-    private copies of just those arrays rather than failing.
-    """
-    source = Path(path).resolve()
-    entry = manifest.get(str(source))
-    if entry is None:
-        return None
-    try:
-        if source.stat().st_mtime_ns != entry["mtime_ns"]:
-            return None
-    except OSError:
-        return None
-    header = entry["header"]
-    cls = checkpointable_classes().get(header.get("class"))
-    if cls is None:
-        return None
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        for name, spec in entry["arrays"].items():
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
-            if spec.get("empty"):
-                arrays[name] = np.empty(shape, dtype=dtype)
-                continue
-            segment = _ATTACHED_SEGMENTS.get(spec["segment"])
-            if segment is None:
-                segment = _attach_segment(spec["segment"])
-                _ATTACHED_SEGMENTS[spec["segment"]] = segment
-            view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-            view.flags.writeable = False
-            arrays[name] = view
-    except (OSError, ValueError, FileNotFoundError):
-        return None
-    try:
-        model = cls.from_checkpoint(header["params"], arrays)
-    except ValueError:
-        # from_checkpoint mutates its arrays (read-only views reject the
-        # write): hand it private copies — correctness over sharing.
-        try:
-            model = cls.from_checkpoint(
-                header["params"],
-                {name: np.array(array) for name, array in arrays.items()})
-        except Exception:
-            return None
-    except Exception:
-        return None
-    if _lazy_member_prefix(cls) is not None:
-        # The shared segments cover only the eager arrays; lazy members
-        # (mmap-served cells) attach from the checkpoint file itself.
-        try:
-            model.attach_store(source)
-        except Exception:
-            return None
+    if mapped:
+        members.verify_crc = False
+    else:
+        members.close()
     model.checkpoint_header_ = header
     return model

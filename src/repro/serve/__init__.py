@@ -18,8 +18,8 @@ which schema cluster does it belong to?):
   (:func:`repro.embeddings.embed_items`);
 * :func:`create_pool_server` scales that single-process server past one
   GIL: a :class:`WorkerPool` of pre-forked worker processes (checkpoints
-  shared zero-copy via ``multiprocessing.shared_memory``, WAL recovery run
-  once before fork) behind a :class:`PoolRouter` that shards requests by
+  memory-mapped, so the page cache shares them; WAL recovery run once
+  before fork) behind a :class:`PoolRouter` that shards requests by
   model name, sheds overload as ``429 Retry-After``, and fails idempotent
   reads over to sibling workers when a worker dies;
 * :class:`JobManager` is the async tier behind ``POST /v1/jobs``: registry

@@ -450,7 +450,6 @@ def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                   micro_batching: bool = True,
                   reload_interval: float | None = None,
                   wal_dir: str | Path | None = None,
-                  shared_manifest: dict | None = None,
                   identity: dict | None = None,
                   jobs: bool = True,
                   jobs_dir: str | Path | None = None,
@@ -475,11 +474,8 @@ def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",
     :func:`repro.wal.recover_model_dir`, so the served state reflects all
     durably-journaled ingestion even after a SIGKILL mid-update.
 
-    ``shared_manifest`` is the zero-copy checkpoint map published by the
-    worker pool parent (:class:`repro.serialize.SharedCheckpointStore`);
-    the registry loads covered checkpoints as shared-memory views instead
-    of private copies.  ``identity`` is merged into the health payload so
-    pool workers are distinguishable through the router.
+    ``identity`` is merged into the health payload so pool workers are
+    distinguishable through the router.
 
     ``jobs=True`` (the default) attaches a :class:`JobManager` persisting
     job state under ``jobs_dir`` (default ``<model_dir>/jobs``; the
@@ -492,8 +488,7 @@ def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",
         from ..wal import recover_model_dir
 
         recover_model_dir(model_dir, wal_dir)
-    registry = ModelRegistry(model_dir, max_loaded=max_loaded,
-                             shared_manifest=shared_manifest)
+    registry = ModelRegistry(model_dir, max_loaded=max_loaded)
     service = PredictService(registry, max_batch_rows=max_batch_rows,
                              max_delay=max_delay,
                              micro_batching=micro_batching,

@@ -16,11 +16,11 @@ Design points:
   every checkpoint (the model directory is shared), which is what lets the
   router fail a read over to a sibling when the primary dies — no shard is
   ever lost with the primary.
-* **Checkpoints are shared, not copied.**  Before forking, the parent
-  loads every checkpoint's arrays once into ``multiprocessing.shared_memory``
-  (:class:`repro.serialize.SharedCheckpointStore`) and passes the manifest
-  to the workers, whose registries attach zero-copy read-only views — N
-  workers, one copy of the weights.
+* **Checkpoints are shared, not copied.**  A worker's registry loads a
+  checkpoint as read-only views into the file's memory mapping
+  (:func:`repro.serialize.load_checkpoint`), so the kernel page cache
+  holds one copy of the weights for N workers — and keeps sharing after
+  a hot reload, since every worker maps the same new generation.
 * **Recovery runs once, before fork.**  ``wal_dir`` triggers
   :func:`repro.wal.recover_model_dir` in the parent; workers are started
   with recovery already done, so N processes never race to replay the
@@ -42,7 +42,7 @@ import signal
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..exceptions import ServingError
@@ -86,8 +86,6 @@ class WorkerConfig:
     max_delay: float = 0.002
     micro_batching: bool = True
     reload_interval: float | None = None
-    #: Shared-memory manifest from the parent's checkpoint store.
-    shared_manifest: dict = field(default_factory=dict)
 
 
 def _worker_main(config: WorkerConfig, conn) -> None:
@@ -113,7 +111,6 @@ def _worker_main(config: WorkerConfig, conn) -> None:
             max_delay=config.max_delay,
             micro_batching=config.micro_batching,
             reload_interval=config.reload_interval,
-            shared_manifest=config.shared_manifest or None,
             identity={"worker": config.index, "pid": os.getpid()},
             # The router owns the pool's single JobManager: jobs handled
             # per-shard would fragment the content-addressed dedup.
@@ -150,10 +147,10 @@ class _WorkerSlot:
 class WorkerPool:
     """Start, supervise and stop N serving worker processes.
 
-    The pool owns boot-order invariants (WAL recovery before fork,
-    shared-memory publication before fork) and the respawn loop; request
-    routing lives in :class:`repro.serve.router.PoolRouter`, which reads
-    worker addresses through :meth:`address_of`.
+    The pool owns the boot-order invariant (WAL recovery before fork)
+    and the respawn loop; request routing lives in
+    :class:`repro.serve.router.PoolRouter`, which reads worker addresses
+    through :meth:`address_of`.
 
     ``kill_worker`` is the chaos hook the load harness uses: SIGKILL one
     worker and let the supervisor prove the respawn path.
@@ -165,7 +162,6 @@ class WorkerPool:
                  micro_batching: bool = True,
                  reload_interval: float | None = None,
                  wal_dir: str | Path | None = None,
-                 shared_memory: bool = True,
                  start_method: str | None = None) -> None:
         if n_workers < 1:
             raise ServingError("n_workers must be >= 1")
@@ -175,14 +171,12 @@ class WorkerPool:
         self.n_workers = int(n_workers)
         self.host = host
         self.wal_dir = wal_dir
-        self.shared_memory = shared_memory
         self._config_kwargs = dict(
             max_loaded=max_loaded, max_batch_rows=max_batch_rows,
             max_delay=max_delay, micro_batching=micro_batching,
             reload_interval=reload_interval)
         self._context = multiprocessing.get_context(
             _resolve_start_method(start_method))
-        self._store = None
         self._slots = [_WorkerSlot(index=i) for i in range(self.n_workers)]
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -191,32 +185,16 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Recover, share, fork, and wait for every worker to bind."""
+        """Recover, fork, and wait for every worker to bind."""
         if self._started:
             raise ServingError("pool already started")
-        # Boot-order invariant 1: WAL recovery happens exactly once, in
+        # Boot-order invariant: WAL recovery happens exactly once, in
         # the parent, before any worker exists — N workers must never
         # race to replay the same journal.
         if self.wal_dir is not None:
             from ..wal import recover_model_dir
 
             recover_model_dir(self.model_dir, self.wal_dir)
-        # Boot-order invariant 2: checkpoints go into shared memory
-        # before forking so every worker attaches the same segments.
-        manifest: dict = {}
-        if self.shared_memory:
-            from ..serialize import SharedCheckpointStore
-
-            self._store = SharedCheckpointStore(
-                prefix=f"repro-pool-{os.getpid()}")
-            try:
-                self._store.share_directory(self.model_dir)
-                manifest = dict(self._store.manifest)
-            except Exception:
-                # Sharing is an optimisation; boot without it.
-                self._store.close()
-                self._store = None
-        self._manifest = manifest
         self._started = True
         try:
             for slot in self._slots:
@@ -232,7 +210,7 @@ class WorkerPool:
         """Start (or restart) the worker in ``slot``; block until ready."""
         config = WorkerConfig(
             model_dir=str(self.model_dir), index=slot.index, host=self.host,
-            shared_manifest=self._manifest, **self._config_kwargs)
+            **self._config_kwargs)
         parent_conn, child_conn = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main, args=(config, child_conn),
@@ -354,7 +332,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        """Terminate every worker and release the shared segments."""
+        """Terminate every worker."""
         self._stopping.set()
         supervisor = self._supervisor
         self._supervisor = None
@@ -373,9 +351,6 @@ class WorkerPool:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.kill()
                 process.join(timeout=5.0)
-        if self._store is not None:
-            self._store.close()
-            self._store = None
 
     def __enter__(self) -> "WorkerPool":
         self.start()

@@ -6,7 +6,10 @@ or ``repro run --save-dir``).  The registry lists models by reading only the
 cheap checkpoint headers, deserialises a model's weights the first time a
 request needs it, and keeps at most ``max_loaded`` models in memory,
 evicting the least recently used — so a directory of many large models can
-be served from a bounded footprint.
+be served from a bounded footprint.  A loaded model's arrays are read-only
+views into its checkpoint file's mapping
+(:func:`repro.serialize.load_checkpoint`), so every process serving the
+directory — the worker pool's included — shares one page-cache copy.
 
 Checkpoints are also *live*: the continuous-learning loop rotates new
 generations into the same file (:func:`repro.serialize.rotate_checkpoint`),
@@ -34,11 +37,7 @@ from ..cache import get_cache
 from ..exceptions import SerializationError, ServingError
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
-from ..serialize import (
-    attach_shared_checkpoint,
-    load_checkpoint,
-    read_checkpoint_header,
-)
+from ..serialize import load_checkpoint, read_checkpoint_header
 
 __all__ = ["LoadedModel", "ModelRegistry", "servable_names"]
 
@@ -113,8 +112,8 @@ class ModelRegistry:
     """
 
     def __init__(self, model_dir: str | Path, *, max_loaded: int = 4,
-                 on_evict: Callable[[LoadedModel], None] | None = None,
-                 shared_manifest: dict | None = None) -> None:
+                 on_evict: Callable[[LoadedModel], None] | None = None
+                 ) -> None:
         if max_loaded < 1:
             raise ServingError("max_loaded must be >= 1")
         self.model_dir = Path(model_dir)
@@ -122,10 +121,6 @@ class ModelRegistry:
             raise ServingError(f"model directory not found: {self.model_dir}")
         self.max_loaded = int(max_loaded)
         self.on_evict = on_evict
-        #: Shared-memory manifest from the pool parent's
-        #: :class:`repro.serialize.SharedCheckpointStore` — checkpoints it
-        #: covers load as zero-copy views instead of private array copies.
-        self.shared_manifest = shared_manifest or {}
         self._loaded: OrderedDict[str, LoadedModel] = OrderedDict()
         self._lock = threading.Lock()
         self._load_locks: dict[str, threading.Lock] = {}
@@ -214,7 +209,7 @@ class ModelRegistry:
                 # simply reloads once more.
                 mtime_ns = path.stat().st_mtime_ns
                 load_started = time.perf_counter()
-                model = self._load_model(path)
+                model = load_checkpoint(path)
                 entry = LoadedModel(name=name, model=model,
                                     header=model.checkpoint_header_,
                                     path=path, mtime_ns=mtime_ns)
@@ -344,19 +339,6 @@ class ModelRegistry:
                 pass
 
     # ------------------------------------------------------------------
-    def _load_model(self, path: Path):
-        """Deserialise ``path``, preferring zero-copy shared-memory arrays.
-
-        A manifest miss — checkpoint not shared at boot, or rotated since
-        (mtime mismatch) — falls back to an ordinary private disk load, so
-        sharing never blocks hot reload or correctness.
-        """
-        if self.shared_manifest:
-            model = attach_shared_checkpoint(path, self.shared_manifest)
-            if model is not None:
-                return model
-        return load_checkpoint(path)
-
     def _notify_evicted(self, entries: list[LoadedModel]) -> None:
         """Run the eviction hook outside the registry lock."""
         if self.on_evict is None:

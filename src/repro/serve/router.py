@@ -425,7 +425,6 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                        micro_batching: bool = True,
                        reload_interval: float | None = None,
                        wal_dir: str | Path | None = None,
-                       shared_memory: bool = True,
                        start_method: str | None = None,
                        jobs: bool = True,
                        jobs_dir: str | Path | None = None,
@@ -433,9 +432,9 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
     """Build and start the sharded serving pool behind one router socket.
 
     The mirror of :func:`repro.serve.create_server` for ``--workers N``:
-    WAL recovery runs once in this process, checkpoints are published to
-    shared memory, ``workers`` serving processes are forked and
-    supervised, and the returned router (bound to ``host:port``; ``port=0``
+    WAL recovery runs once in this process, ``workers`` serving processes
+    are forked and supervised (each maps the checkpoints it loads, so
+    they share one page-cache copy), and the returned router (bound to ``host:port``; ``port=0``
     for ephemeral) shards requests across them.  ``serve_forever()`` to
     run; ``shutdown()`` + ``server_close()`` stops the router *and* the
     workers.
@@ -453,7 +452,7 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                       max_loaded=max_loaded, max_batch_rows=max_batch_rows,
                       max_delay=max_delay, micro_batching=micro_batching,
                       reload_interval=reload_interval, wal_dir=wal_dir,
-                      shared_memory=shared_memory, start_method=start_method)
+                      start_method=start_method)
     manager = None
     if jobs:
         manager = JobManager(jobs_dir or Path(model_dir) / "jobs",

@@ -50,7 +50,7 @@ def pool_server():
 
     ``router, port = pool_server(model_dir, workers=2, **kwargs)`` boots
     the pre-fork pool behind its router on an ephemeral port; teardown
-    stops the router, the workers and their shared-memory segments.
+    stops the router and the workers.
     """
     started = []
 

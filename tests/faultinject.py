@@ -5,7 +5,8 @@ Dual-purpose module:
 * imported by the tests, it provides the kill-point matrix
   (:data:`KILL_POINTS` x :data:`ALGORITHMS`), the scenario driver
   (:func:`run_crash_scenario`) and corruption generators
-  (:func:`truncate_file`, :func:`flip_byte`) shared by the unit and
+  (:func:`truncate_file`, :func:`flip_byte`, located with
+  :func:`member_data_offsets`) shared by the unit and
   property tests;
 * executed as a script (``python faultinject.py --dir ...``), it is the
   *worker*: a real ingestion loop (journal-first WAL discipline, exactly
@@ -42,8 +43,10 @@ from __future__ import annotations
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +91,29 @@ def truncate_file(path: str | Path, n_bytes: int) -> None:
     size = path.stat().st_size
     with path.open("r+b") as handle:
         handle.truncate(max(0, size - int(n_bytes)))
+
+
+def member_data_offsets(path: str | Path) -> dict[str, int]:
+    """File offset of each checkpoint member's array data.
+
+    Parsed with ``zipfile`` and ``numpy.lib.format`` alone, independently
+    of the mapping reader under test: the local header's name and extra
+    lengths give the member start, the ``.npy`` header its length.
+    """
+    from numpy.lib import format as npy_format
+
+    offsets = {}
+    with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+        for info in archive.infolist():
+            handle.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", handle.read(4))
+            handle.seek(info.header_offset + 30 + name_len + extra_len)
+            if npy_format.read_magic(handle) == (1, 0):
+                npy_format.read_array_header_1_0(handle)
+            else:
+                npy_format.read_array_header_2_0(handle)
+            offsets[info.filename.removesuffix(".npy")] = handle.tell()
+    return offsets
 
 
 def flip_byte(path: str | Path, offset: int) -> None:

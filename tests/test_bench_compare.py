@@ -127,6 +127,38 @@ class TestRunCompare:
         strict = compare_bench.run_compare(baseline_dir, current, strict=True)
         assert strict["status"] == "fail"
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, None])
+    def test_pool_scaling_skipped_below_four_cores(self, tmp_path, cpus):
+        """A 4-worker scaling ratio measured on fewer cores is reported
+        skipped with the reason — however bad it looks — never passed."""
+        def serve(scaling):
+            pool = {"throughput_scaling": scaling, "failed_requests": 0}
+            if cpus is not None:
+                pool["cpu_count"] = cpus
+            return {**_serve_doc(), "pool": pool}
+
+        baselines = _write(tmp_path / "baselines", serve=serve(0.776))
+        current = _write(tmp_path / "current", serve=serve(0.1))
+        report = compare_bench.run_compare(baselines, current)
+        [row] = [row for row in report["rows"]
+                 if row["metric"] == "pool_throughput_scaling"]
+        assert row["status"] == "skipped"
+        assert ">= 4" in row["detail"]
+        assert report["status"] == "ok"  # the other gates still ran
+
+    def test_pool_scaling_gated_on_four_cores(self, tmp_path):
+        def serve(scaling, cpus):
+            return {**_serve_doc(), "pool": {
+                "cpu_count": cpus, "throughput_scaling": scaling,
+                "failed_requests": 0}}
+
+        baselines = _write(tmp_path / "baselines", serve=serve(2.5, 1))
+        current = _write(tmp_path / "current", serve=serve(1.0, 4))
+        report = compare_bench.run_compare(baselines, current)
+        [row] = [row for row in report["rows"]
+                 if row["metric"] == "pool_throughput_scaling"]
+        assert row["status"] == "fail"
+
     def test_missing_baseline_is_skipped(self, tmp_path):
         baselines = _write(tmp_path / "baselines")  # empty
         current = _write(tmp_path / "current", serve=_serve_doc())

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -69,6 +70,14 @@ def _post(port, path, payload):
         data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(request, timeout=30) as response:
+        return json.loads(response.read())
+
+
+def _get(port, path):
+    import urllib.request
+
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}",
+                                timeout=30) as response:
         return json.loads(response.read())
 
 
@@ -245,3 +254,45 @@ class TestPoolWorkerDeath:
         stats = router.stats_snapshot()
         assert stats["retries"] + stats["failover"] > 0
         _REPORTS["worker_death"] = report.as_dict()
+
+
+# ----------------------------------------------------------------------
+def _mapped_inodes(pid: int) -> set[int]:
+    """Inodes of the files mapped into process ``pid``."""
+    with open(f"/proc/{pid}/maps", encoding="utf-8") as handle:
+        return {int(fields[4]) for fields in map(str.split, handle)
+                if len(fields) >= 6}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/<pid>/maps, which only Linux has")
+class TestPoolSharesCheckpointPages:
+    def test_workers_map_the_live_checkpoint_across_rotation(
+            self, model_dir, pool_server):
+        """Every worker serves the checkpoint from the file's mapping —
+        one page-cache copy for the pool — and maps the new generation
+        after a hot rotation, instead of falling back to a private copy."""
+        _model, X = _fitted()
+        router, port = pool_server(model_dir, workers=WORKERS,
+                                   reload_interval=0.05)
+        target = model_dir / "alpha.npz"
+        workers = _get(port, "/healthz")["workers"]
+        assert len(workers) == WORKERS
+        for row in workers:  # every worker loads alpha, not just its owner
+            _post(row["port"], "/models/alpha/predict",
+                  {"vectors": X[:2].tolist()})
+        live = target.stat().st_ino
+        for row in workers:
+            assert live in _mapped_inodes(row["pid"]), row
+
+        rotate_checkpoint(target, KMeans(4, seed=99).fit(X),
+                          metadata={"n_features": 8})
+        rotated = target.stat().st_ino
+        assert rotated != live
+        deadline = time.monotonic() + 10.0
+        pending = [row["pid"] for row in workers]
+        while pending and time.monotonic() < deadline:
+            pending = [pid for pid in pending
+                       if rotated not in _mapped_inodes(pid)]
+            time.sleep(0.05)
+        assert pending == [], "workers never mapped the rotated checkpoint"

@@ -238,11 +238,16 @@ class TestMappedCheckpoints:
         index.save(path)
         restored = VectorIndex.load(path)
         # Attachment derives cell membership from the resident
-        # assignments; no lazy member is read.
-        assert restored._store.touched == set()
+        # assignments; no cell member is read.
+
+        def cells_touched():
+            return {name for name in restored._store.store.touched
+                    if name.startswith("array.cell.")}
+
+        assert cells_touched() == set()
         cell = int(restored.assignments_[0])
         restored.query(X[:1], 3, nprobe=1)
-        assert restored._store.touched == {
+        assert cells_touched() == {
             f"array.cell.{cell:06d}.codes", f"array.cell.{cell:06d}.vecs"}
 
     def test_attached_index_is_read_only(self, built, tmp_path):

@@ -8,9 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from faultinject import flip_byte, truncate_file
+from faultinject import flip_byte, member_data_offsets, truncate_file
 from repro.cli import main
 from repro.clustering import KMeans
+from repro.exceptions import SerializationError
 from repro.serialize import (
     checkpoint_generations,
     load_checkpoint,
@@ -209,6 +210,23 @@ class TestRepairCLI:
     def test_clean_directory_exits_zero(self, model_dir, capsys):
         assert main(["repair", str(model_dir)]) == 0
         assert "clean" in capsys.readouterr().err
+
+    def test_flipped_array_byte_restores_previous_generation(
+            self, model_dir, capsys):
+        """Bit rot inside an array member fails its CRC-32 at load, so
+        repair sees the live file as corrupt and restores the newest
+        sound generation."""
+        live = model_dir / "m.npz"
+        offset = member_data_offsets(live)["array.cluster_centers"]
+        flip_byte(live, offset + 5)
+        with pytest.raises(SerializationError, match="CRC-32"):
+            load_checkpoint(live)
+        assert main(["repair", str(model_dir), "--dry-run"]) == 1
+        assert "corrupt-checkpoint" in capsys.readouterr().out
+        assert main(["repair", str(model_dir)]) == 0
+        restored = load_checkpoint(live)
+        assert restored.checkpoint_header_["metadata"]["generation"] == 1
+        assert main(["repair", str(model_dir), "--dry-run"]) == 0
 
     def test_dry_run_with_findings_exits_one(self, model_dir, capsys):
         (model_dir / "m.npz.tmp").write_bytes(b"\x00")

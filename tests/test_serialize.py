@@ -19,9 +19,11 @@ from repro.cache import reset_cache
 from repro.config import DeepClusteringConfig
 from repro.data import generate_camera, generate_musicbrainz, generate_webtables
 from repro.exceptions import NotFittedError, SerializationError
+from faultinject import member_data_offsets
 from repro.serialize import (
     CHECKPOINT_VERSION,
     checkpoint_generations,
+    checkpointable_classes,
     load_checkpoint,
     read_checkpoint_header,
     rotate_checkpoint,
@@ -123,6 +125,100 @@ def test_index_checkpoints_are_stored(backend, tmp_path):
     reloaded = load_checkpoint(path)
     for before, after in zip(index.query(X[:5], 3), reloaded.query(X[:5], 3)):
         assert np.array_equal(before, after)
+
+
+def _blobs(n=64, dim=16, k=4, seed=0):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(k, dim)) * 6.0
+    return np.vstack([c + rng.normal(size=(n // k, dim)) for c in centers])
+
+
+#: One fitted instance per checkpointable class (IVF once per coding).
+_KINDS = ("KMeans", "Birch", "DBSCAN", "Autoencoder", "AutoencoderClustering",
+          "SDCN", "EDESC", "SHGP", "FlatIndex", "IVFIndex-none", "IVFIndex-sq",
+          "IVFIndex-pq")
+_ALGORITHMS = {"KMeans": "kmeans", "Birch": "birch", "DBSCAN": "dbscan",
+               "AutoencoderClustering": "ae", "SDCN": "sdcn",
+               "EDESC": "edesc", "SHGP": "shgp"}
+
+
+def _fitted(kind, X):
+    """``(model, answer)``: ``answer(model)`` must survive a reload exactly."""
+    if kind == "Autoencoder":
+        from repro.dc import Autoencoder
+
+        model = Autoencoder(X.shape[1], latent_dim=4, layer_size=16, seed=0)
+        model.pretrain(X, epochs=3, seed=0)
+        return model, lambda m: (m.transform(X),)
+    if kind == "FlatIndex" or kind.startswith("IVFIndex"):
+        if kind == "FlatIndex":
+            model = FlatIndex()
+        else:
+            model = IVFIndex(coding=kind.split("-")[1], nlist=4, nprobe=2, m=4)
+        return model.build(X), lambda m: m.query(X[:6], 4)
+    model = make_clusterer(_ALGORITHMS[kind], 4, config=_FAST, seed=0)
+    model.fit_predict(X)
+    return model, lambda m: (m.predict(X),)
+
+
+def test_every_checkpointable_class_is_covered():
+    classes = {cls.__name__ for cls in checkpointable_classes().values()}
+    assert classes == {kind.split("-")[0] for kind in _KINDS}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_loads_aligned_read_only_views_bit_identically(kind, tmp_path):
+    X = _blobs()
+    model, answer = _fitted(kind, X)
+    before = answer(model)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model)
+    offsets = member_data_offsets(path)
+    assert "__header__" in offsets and len(offsets) > 1
+    assert all(offset % 64 == 0 for offset in offsets.values()), offsets
+
+    loaded = load_checkpoint(path)
+    arrays = loaded.checkpoint_arrays()
+    writeable = [name for name, array in arrays.items()
+                 if array.flags.writeable]
+    assert arrays and writeable == []
+    for want, got in zip(before, answer(loaded), strict=True):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_legacy_unaligned_members_are_private_aligned_copies():
+    """Stored files written before alignment: copies, never cached."""
+    path = LEGACY_INDEXES / "ivfflat.npz"
+    unaligned = [name for name, offset in member_data_offsets(path).items()
+                 if offset % 4]
+    assert unaligned
+    mapped = MappedArrays(path)
+    try:
+        for name in unaligned:
+            first, second = mapped[name], mapped[name]
+            assert first.flags.aligned and not first.flags.writeable
+            assert first is not second
+            assert first.tobytes() == second.tobytes()
+    finally:
+        mapped.close()
+
+
+def test_member_past_end_of_file_fails_at_load(tmp_path):
+    """A directory promising more bytes than the file holds is caught at
+    open, not when a query first reads the member."""
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, KMeans(3, seed=0).fit(_blobs()))
+    data = bytearray(path.read_bytes())
+    # The central directory entry of the last member: grow its sizes.
+    entry = data.rindex(b"PK\x01\x02")
+    for field in (20, 24):  # compressed, uncompressed size
+        size = int.from_bytes(data[entry + field:entry + field + 4], "little")
+        data[entry + field:entry + field + 4] = \
+            (size + 4096).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(SerializationError, match="truncated"):
+        load_checkpoint(path)
 
 
 class TestFormat:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -330,6 +331,38 @@ class TestIncrementalUpdate:
         assert report.refit_recommended
 
 
+    @pytest.mark.parametrize("algorithm", ["kmeans", "birch", "dbscan",
+                                           "ae", "ae_kmeans", "sdcn",
+                                           "edesc"])
+    def test_updates_a_loaded_read_only_model(self, algorithm, tmp_path):
+        """A loaded model's arrays are read-only views of its checkpoint:
+        an update must replace them, never write into them, and lands
+        exactly where the same update of privately loaded arrays lands
+        (a deflated copy of the file, which np.load reads into memory)."""
+        from repro.tasks.base import make_clusterer
+
+        initial, batches = _stream_blobs(60, 1, 20, seed=5)
+        config = DeepClusteringConfig(pretrain_epochs=2, train_epochs=2,
+                                      layer_size=16, latent_dim=4, seed=0)
+        model = make_clusterer(algorithm, 4, config=config, seed=0)
+        model.fit_predict(initial)
+        path = save_checkpoint(tmp_path / "m.npz", model)
+        before = path.read_bytes()
+        with np.load(path) as payload:
+            np.savez_compressed(tmp_path / "private.npz",
+                                **{name: payload[name]
+                                   for name in payload.files})
+        loaded = load_checkpoint(path)
+        private = load_checkpoint(tmp_path / "private.npz")
+        assert supports_incremental_update(loaded)
+
+        incremental_update(loaded, batches[0], seed=0)
+        incremental_update(private, batches[0], seed=0)
+        probe = np.vstack([initial, batches[0]])
+        assert np.array_equal(loaded.predict(probe), private.predict(probe))
+        assert path.read_bytes() == before
+
+
 # ----------------------------------------------------------------------
 class TestCheckpointRotation:
     def test_generations_accumulate_and_prune(self, tmp_path):
@@ -513,8 +546,12 @@ class TestStreamScenario:
         baseline = load_checkpoint(path)
         n_total = steps[-1].n_seen
         for artifact in (path, index_path):
+            # Roll back by rename, as a lost rotation leaves it: loaded
+            # models map their file, which is never rewritten in place.
             previous = checkpoint_generations(artifact)[-1]
-            shutil.copy2(previous, artifact)
+            rollback = artifact.with_name(f"{artifact.name}.rollback")
+            shutil.copy2(previous, rollback)
+            os.replace(rollback, artifact)
         rolled = read_checkpoint_header(path)["metadata"]["wal_applied"]
         assert rolled["stream"] < tail["stream"]
 
