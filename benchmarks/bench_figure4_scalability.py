@@ -16,11 +16,10 @@ The CLI-runnable version is ``python -m repro run figure4_scalability``;
 this bench sweeps dataset sizes, so each size embeds fresh.
 """
 
-import json
 from collections import defaultdict
 from pathlib import Path
 
-from conftest import run_once
+from conftest import run_once, write_bench_json
 
 from repro.config import DeepClusteringConfig
 from repro.experiments import run_scalability_study
@@ -85,7 +84,7 @@ def test_figure4_sparse_scaling(benchmark):
     print("\nFigure 4 (dense vs sparse): runtime and peak memory")
     for row in rows:
         print(row)
-    _BENCH_JSON.write_text(json.dumps(rows, indent=2), encoding="utf-8")
+    write_bench_json(_BENCH_JSON, {"rows": rows})
 
     peak = {(p.graph, p.n_instances): p.peak_mem_mb
             for pts in results.values() for p in pts}

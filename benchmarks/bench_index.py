@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import write_bench_json
+
 from repro.graphs import sparse_knn_graph
 from repro.index import FlatIndex, IVFPQIndex, VectorIndex, create_index
 
@@ -212,7 +214,7 @@ def test_ann_index_beats_exact_scan(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     print("\nVector index: ANN vs exact scan")
     print(json.dumps(results, indent=2))
-    _BENCH_JSON.write_text(json.dumps(results, indent=2), encoding="utf-8")
+    write_bench_json(_BENCH_JSON, results)
 
     top = results["sizes"]["100000"]["ivf"]
     # The headline claims: at n=100k the IVF index answers well past the

@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import write_bench_json
+
 from repro.config import DeepClusteringConfig
 from repro.dc import AutoencoderClustering
 from repro.serialize import save_checkpoint
@@ -141,7 +143,7 @@ def test_micro_batching_beats_per_request_forwards(benchmark):
         previous = json.loads(_BENCH_JSON.read_text(encoding="utf-8"))
         if "pool" in previous:
             results = {**results, "pool": previous["pool"]}
-    _BENCH_JSON.write_text(json.dumps(results, indent=2), encoding="utf-8")
+    write_bench_json(_BENCH_JSON, results)
 
     coalescing = results["micro_batched"]["coalescing"]
     assert coalescing["requests"] == _N_REQUESTS
@@ -236,7 +238,7 @@ def test_pool_scales_past_one_gil(benchmark, tmp_path):
     if _BENCH_JSON.exists():
         doc = json.loads(_BENCH_JSON.read_text(encoding="utf-8"))
     doc["pool"] = results
-    _BENCH_JSON.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    write_bench_json(_BENCH_JSON, doc)
 
     # The hard guarantee everywhere: overload may 429, but nothing fails.
     assert results["failed_requests"] == 0, results
@@ -309,6 +311,6 @@ def test_obs_overhead(benchmark):
     if _BENCH_JSON.exists():
         doc = json.loads(_BENCH_JSON.read_text(encoding="utf-8"))
     doc["obs"] = results
-    _BENCH_JSON.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    write_bench_json(_BENCH_JSON, doc)
 
     assert results["overhead_ratio"] < 1.05, results

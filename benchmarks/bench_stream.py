@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import write_bench_json
+
 from repro.clustering import KMeans
 from repro.config import DeepClusteringConfig
 from repro.dc import AutoencoderClustering
@@ -49,7 +51,7 @@ def _merge_into_bench_json(section: str, payload: dict) -> dict:
     if _BENCH_JSON.exists():
         document = json.loads(_BENCH_JSON.read_text(encoding="utf-8"))
     document[section] = payload
-    _BENCH_JSON.write_text(json.dumps(document, indent=2), encoding="utf-8")
+    write_bench_json(_BENCH_JSON, document)
     return document
 
 

@@ -23,6 +23,9 @@ so a committed baseline transfers across hardware generations — a slower
 CI runner scales both sides of each ratio.  A ratio the fresh run's
 machine cannot measure (pool scaling on fewer cores than the pool has
 workers) is reported ``skipped``, with the reason, instead of passing.
+The report also carries each fresh file's ``provenance`` (core count,
+Python/numpy versions, BLAS threads, git sha), so a reader can tell
+where the numbers came from.
 
 Usage::
 
@@ -108,9 +111,14 @@ def _metrics_stream(doc: dict) -> dict[str, tuple[float, str]]:
     return metrics
 
 
-def _metrics_figure4(doc: list) -> dict[str, tuple[float, str]]:
-    """Gated metrics of ``BENCH_figure4_scalability.json`` (a row list)."""
-    rows = {(row["graph"], row["n_instances"]): row for row in doc}
+def _metrics_figure4(doc: dict | list) -> dict[str, tuple[float, str]]:
+    """Gated metrics of ``BENCH_figure4_scalability.json``.
+
+    Its rows sit under ``"rows"``; files written before provenance was
+    stamped are the bare row list.
+    """
+    rows = doc["rows"] if isinstance(doc, dict) else doc
+    rows = {(row["graph"], row["n_instances"]): row for row in rows}
     dense_sizes = sorted(n for graph, n in rows if graph == "dense")
     sparse_sizes = sorted(n for graph, n in rows if graph == "sparse")
     if not dense_sizes or not sparse_sizes:
@@ -207,12 +215,11 @@ def _judge(name: str, kind: str, baseline: float,
 
 
 def compare_file(name: str, baseline_path: Path,
-                 current_path: Path) -> list[dict]:
-    """Compare one bench file; return one row per gated metric."""
+                 current_doc: dict | list) -> list[dict]:
+    """Compare one fresh bench document; return one row per gated metric."""
     extractor = EXTRACTORS[name]
     baseline = extractor(
         json.loads(baseline_path.read_text(encoding="utf-8")))
-    current_doc = json.loads(current_path.read_text(encoding="utf-8"))
     current = extractor(current_doc)
     unmeasurable = UNMEASURABLE.get(name, lambda doc: {})(current_doc)
     rows = []
@@ -244,6 +251,7 @@ def run_compare(baseline_dir: Path, current_dir: Path, *,
     what ``repro bench <name>`` uses to gate a single fresh measurement.
     """
     rows: list[dict] = []
+    provenance: dict[str, dict | None] = {}
     names = sorted(EXTRACTORS) if files is None else list(files)
     unknown = [name for name in names if name not in EXTRACTORS]
     if unknown:
@@ -261,7 +269,10 @@ def run_compare(baseline_dir: Path, current_dir: Path, *,
             rows.append({"file": name, "metric": "-", "status": status,
                          "detail": f"bench did not write {current_path}"})
             continue
-        rows.extend(compare_file(name, baseline_path, current_path))
+        current_doc = json.loads(current_path.read_text(encoding="utf-8"))
+        rows.extend(compare_file(name, baseline_path, current_doc))
+        provenance[name] = (current_doc.get("provenance")
+                            if isinstance(current_doc, dict) else None)
     failed = [row for row in rows if row["status"] == "fail"]
     return {
         "baseline_dir": str(baseline_dir),
@@ -269,6 +280,7 @@ def run_compare(baseline_dir: Path, current_dir: Path, *,
         "thresholds": {"throughput_drop": THROUGHPUT_DROP,
                        "latency_growth": LATENCY_GROWTH},
         "rows": rows,
+        "provenance": provenance,
         "failures": len(failed),
         "status": "fail" if failed else "ok",
     }
@@ -297,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     for row in report["rows"]:
         marker = {"ok": " ok ", "fail": "FAIL", "skipped": "skip"}[row["status"]]
         print(f"[{marker}] {row['file']}: {row['detail']}")
+    for name, stamp in report["provenance"].items():
+        print(f"[prov] {name}: {json.dumps(stamp)}")
     print(f"=> {report['status']} "
           f"({report['failures']} regression(s) across "
           f"{len(report['rows'])} check(s))")

@@ -16,6 +16,14 @@ cache.
 
 from __future__ import annotations
 
+import ctypes
+import json
+import os
+import platform
+import subprocess
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.config import DeepClusteringConfig, ExperimentScale
@@ -61,3 +69,56 @@ def run_once(benchmark, fn):
     time per table.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+#: Thread-count getters exported by the OpenBLAS builds numpy links.
+_OPENBLAS_GETTERS = ("openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads64_")
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS this process has loaded (None if unknown)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower() and ".so" in line}
+    except OSError:  # not Linux
+        return None
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for name in _OPENBLAS_GETTERS:
+            getter = getattr(library, name, None)
+            if getter is not None:
+                return int(getter())
+    return None
+
+
+def _git_sha() -> str | None:
+    """Commit of the checkout the benches run from (None outside one)."""
+    try:
+        result = subprocess.run(["git", "rev-parse", "HEAD"],
+                                cwd=Path(__file__).parent,
+                                capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return result.stdout.strip() if result.returncode == 0 else None
+
+
+def bench_provenance() -> dict:
+    """Where a BENCH file's numbers were measured.
+
+    Core count, Python and numpy versions, BLAS threads and git sha —
+    enough to tell whether two BENCH files are comparable at all.
+    """
+    return {"cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": _blas_threads(),
+            "git_sha": _git_sha()}
+
+
+def write_bench_json(path: Path, document: dict) -> None:
+    """Write one BENCH file, stamped with :func:`bench_provenance`."""
+    document = {**document, "provenance": bench_provenance()}
+    path.write_text(json.dumps(document, indent=2), encoding="utf-8")

@@ -2,12 +2,12 @@
 
 :class:`VectorIndex` owns everything the backends share — metric
 dispatch (through :mod:`repro.utils.metrics_dispatch`), the external-id
-mapping, the raw-vector store, input validation, the
-``build/add/query/save/load`` surface and the :mod:`repro.serialize`
-checkpoint protocol — so each backend only implements how it organises
-vectors for search (:meth:`VectorIndex._rebuild`,
-:meth:`VectorIndex._append`) and how it answers a query
-(:meth:`VectorIndex._search`).
+mapping, input validation, the ``build/add/query/save/load`` surface and
+the :mod:`repro.serialize` header protocol.  It stores no vectors: each
+backend keeps the corpus in the layout it scans
+(:meth:`VectorIndex._rebuild`, :meth:`VectorIndex._append`), answers a
+query (:meth:`VectorIndex._search`) and writes and reads its own
+checkpoint arrays.
 
 Distances returned by :meth:`VectorIndex.query` are true metric
 dissimilarities: Euclidean distance for ``metric="euclidean"`` and the
@@ -50,10 +50,11 @@ class VectorIndex:
         ``"cosine"`` (the embedding-space default throughout the library)
         or ``"euclidean"`` (what DBSCAN's ``eps`` is defined over).
 
-    Subclasses set :attr:`backend` and implement ``_rebuild`` (organise
-    ``self._search_vectors`` from scratch), ``_append`` (absorb the rows
-    just appended by :meth:`add`) and ``_search`` (answer a validated
-    query batch with ``(positions, distances)``).
+    Subclasses set :attr:`backend` and implement :attr:`dim`,
+    ``_rebuild`` (index validated rows from scratch), ``_append`` (absorb
+    validated rows that take the next positions), ``_search`` (answer a
+    validated query batch with ``(positions, distances)``) and the
+    ``checkpoint_arrays``/``from_checkpoint`` pair.
     """
 
     #: Registry key of the backend (``"flat"``, ``"ivf"``, ``"ivfpq"``).
@@ -68,21 +69,19 @@ class VectorIndex:
     def __init__(self, *, metric: str = "cosine") -> None:
         validate_metric(metric)
         self.metric = metric
-        self.vectors_: np.ndarray | None = None
         self.ids_: np.ndarray | None = None
-        self._search_vectors: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # introspection
     @property
     def size(self) -> int:
         """Number of indexed vectors."""
-        return 0 if self.vectors_ is None else int(self.vectors_.shape[0])
+        return 0 if self.ids_ is None else int(self.ids_.shape[0])
 
     @property
     def dim(self) -> int:
         """Dimensionality of the indexed vectors (0 before ``build``)."""
-        return 0 if self.vectors_ is None else int(self.vectors_.shape[1])
+        raise NotImplementedError
 
     @property
     def ids(self) -> np.ndarray:
@@ -91,7 +90,7 @@ class VectorIndex:
         return self.ids_
 
     def _require_built(self) -> None:
-        if self.vectors_ is None:
+        if self.ids_ is None:
             raise VectorIndexError(
                 f"{type(self).__name__} is empty; call build() first")
 
@@ -110,6 +109,13 @@ class VectorIndex:
             array = array.astype(str)
         return array
 
+    @staticmethod
+    def _checkpoint_ids(arrays) -> np.ndarray:
+        """The stored ids: strings as saved, integers as ``int64``."""
+        ids = np.asarray(arrays["ids"])
+        return ids if ids.dtype.kind in "US" \
+            else ids.astype(np.int64, copy=False)
+
     # ------------------------------------------------------------------
     # build / add / query
     def build(self, X, ids=None) -> "VectorIndex":
@@ -120,11 +126,10 @@ class VectorIndex:
         serving API reports back to clients.
         """
         X = check_matrix(X, name="X", dtype=INDEX_DTYPE)
-        self.vectors_ = X
-        self.ids_ = (np.arange(X.shape[0], dtype=np.int64) if ids is None
-                     else self._check_ids(ids, X.shape[0]))
-        self._search_vectors = self._as_search(X)
-        self._rebuild()
+        ids = (np.arange(X.shape[0], dtype=np.int64) if ids is None
+               else self._check_ids(ids, X.shape[0]))
+        self._rebuild(X)
+        self.ids_ = ids
         return self
 
     def add(self, X, ids=None) -> "VectorIndex":
@@ -135,7 +140,6 @@ class VectorIndex:
         """
         if self.size == 0:
             return self.build(X, ids=ids)
-        self._materialize()
         X = check_matrix(X, name="X", dtype=INDEX_DTYPE)
         if X.shape[1] != self.dim:
             raise IndexMismatchError(
@@ -152,13 +156,10 @@ class VectorIndex:
             # unicode width to the values — never a fixed-width cast,
             # which would silently truncate ('201' -> '20').
             fresh = fresh.astype(str)
-        self.vectors_ = np.vstack([self.vectors_, X])
+        self._append(X)
         # np.concatenate promotes to the wider dtype, so existing ids and
         # new ids both survive verbatim.
         self.ids_ = np.concatenate([self.ids_, fresh])
-        self._search_vectors = np.vstack([self._search_vectors,
-                                          self._as_search(X)])
-        self._append(start)
         return self
 
     def query(self, Q, k: int = 10,
@@ -217,20 +218,13 @@ class VectorIndex:
 
     # ------------------------------------------------------------------
     # backend hooks
-    def _rebuild(self) -> None:
-        """Organise ``self._search_vectors`` for search (from scratch)."""
+    def _rebuild(self, X: np.ndarray) -> None:
+        """Index the validated rows ``X`` from scratch."""
         raise NotImplementedError
 
-    def _append(self, start: int) -> None:
-        """Absorb rows ``start:`` of ``self._search_vectors`` incrementally."""
+    def _append(self, X: np.ndarray) -> None:
+        """Absorb validated rows ``X`` at positions ``size:`` onwards."""
         raise NotImplementedError
-
-    def _materialize(self) -> None:
-        """Make the index writable in memory before :meth:`add` appends.
-
-        The default has nothing to do; indexes serving a memory-mapped
-        checkpoint copy it into memory here.
-        """
 
     def _search(self, Q: np.ndarray, k: int,
                 tunables: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -264,23 +258,6 @@ class VectorIndex:
         self._require_built()
         return {"metric": self.metric, "backend": self.backend,
                 **self._state_params()}
-
-    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        """Numeric state: raw vectors and ids."""
-        self._require_built()
-        return {"vectors": self.vectors_, "ids": self.ids_}
-
-    @classmethod
-    def from_checkpoint(cls, params: dict, arrays: dict) -> "VectorIndex":
-        """Rebuild an index from :mod:`repro.serialize` state."""
-        index = cls(metric=params["metric"])
-        index.vectors_ = np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)
-        ids = np.asarray(arrays["ids"])
-        index.ids_ = ids if ids.dtype.kind in "US" \
-            else ids.astype(np.int64, copy=False)
-        index._search_vectors = index._as_search(index.vectors_)
-        index._rebuild()
-        return index
 
     def _state_params(self) -> dict:
         """Backend-specific JSON-able state merged into the header params."""

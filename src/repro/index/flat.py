@@ -1,6 +1,7 @@
 """Exact brute-force index: the recall baseline and the small-n default.
 
-``FlatIndex`` stores the vectors and answers every query with a blocked
+``FlatIndex`` keeps the corpus flat (the raw rows it checkpoints, and
+their unit rows under cosine) and answers every query with a blocked
 exact scan — the same blocked-slab technique as
 :func:`repro.graphs.knn.blocked_topk_neighbors`, so peak memory stays at
 ``O(query_rows * block_size)`` instead of ``O(query_rows * n)``.  Recall is
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.metrics_dispatch import squared_euclidean_distances
-from .base import VectorIndex
+from .base import INDEX_DTYPE, VectorIndex
 
 __all__ = ["FlatIndex"]
 
@@ -27,11 +28,23 @@ class FlatIndex(VectorIndex):
 
     backend = "flat"
 
-    def _rebuild(self) -> None:
-        """Nothing to organise: the scan works off the raw vector store."""
+    def __init__(self, *, metric: str = "cosine") -> None:
+        super().__init__(metric=metric)
+        self.vectors_: np.ndarray | None = None
+        self._search_vectors: np.ndarray | None = None
 
-    def _append(self, start: int) -> None:
-        """Nothing to organise: new rows join the scan automatically."""
+    @property
+    def dim(self) -> int:
+        return 0 if self.vectors_ is None else int(self.vectors_.shape[1])
+
+    def _rebuild(self, X: np.ndarray) -> None:
+        self.vectors_ = X
+        self._search_vectors = self._as_search(X)
+
+    def _append(self, X: np.ndarray) -> None:
+        self.vectors_ = np.vstack([self.vectors_, X])
+        self._search_vectors = np.vstack([self._search_vectors,
+                                          self._as_search(X)])
 
     def _block_distances(self, Q: np.ndarray, start: int,
                          stop: int) -> np.ndarray:
@@ -67,3 +80,17 @@ class FlatIndex(VectorIndex):
         order = np.lexsort((best_i, best_d), axis=1)
         return (np.take_along_axis(best_i, order, axis=1),
                 np.take_along_axis(best_d, order, axis=1))
+
+    # ------------------------------------------------------------------
+    # checkpoint protocol
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """Numeric state: raw vectors and ids."""
+        self._require_built()
+        return {"vectors": self.vectors_, "ids": self.ids_}
+
+    @classmethod
+    def from_checkpoint(cls, params: dict, arrays) -> "FlatIndex":
+        index = cls(metric=params["metric"])
+        index._rebuild(np.asarray(arrays["vectors"], dtype=INDEX_DTYPE))
+        index.ids_ = cls._checkpoint_ids(arrays)
+        return index

@@ -42,23 +42,28 @@ Incremental :meth:`VectorIndex.add` assigns new vectors to their nearest
 existing cell — the streaming write path; the quantizers are only
 retrained by a fresh :meth:`VectorIndex.build`.
 
-Checkpoints store each cell's exact vectors (and codes, when coded) as
-separate members (``cell.NNNNNN.vecs`` / ``cell.NNNNNN.codes``).
-:func:`repro.serialize.load_checkpoint` hands ``from_checkpoint`` the
-checkpoint's file mapping (:class:`repro.index.storage.MappedArrays`),
-and the loaded index keeps it as its cell store: only ids, assignments
-and the quantizers are read at load — cell data is paged in by the OS
-when a query probes the cell — so corpora larger than RAM load in
-milliseconds and serve within it.  Cell membership is *derived*, not
-stored: a stable argsort of the assignments yields the per-cell member
-lists, so loading touches no cell member.  An ``add`` on an attached
-index first copies its cells into memory; the mapping it leaves behind
-keeps reading its own file generation.
+The cells are the index's only corpus store, in one layout however the
+index came to be: a name -> array mapping of each cell's exact vectors
+and, when coded, its codes (``cell.NNNNNN.vecs`` / ``cell.NNNNNN.codes``
+— the checkpoint's member names).  :meth:`VectorIndex.build` fills a
+plain dict.  :func:`repro.serialize.load_checkpoint` hands
+``from_checkpoint`` the checkpoint's file mapping
+(:class:`repro.index.storage.MappedArrays`), and the loaded index keeps
+it as its store: only ids, assignments and the quantizers are read at
+load — cell data is paged in by the OS when a query probes the cell — so
+corpora larger than RAM load in milliseconds and serve within it.  Cell
+membership is *derived*, not stored: a stable argsort of the
+assignments yields the per-cell member lists, so loading touches no
+cell member.  An ``add`` replaces only the cells its batch touches with
+new in-memory arrays; on a loaded index the untouched cells stay
+read-only views of the file generation they came from, which is safe
+because checkpoint files are only ever replaced, never rewritten.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import ChainMap
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 
@@ -66,6 +71,7 @@ from ..exceptions import ConfigurationError, VectorIndexError
 from ..utils.metrics_dispatch import squared_euclidean_distances
 from .base import INDEX_DTYPE, VectorIndex
 from .quant import ProductQuantizer, ScalarQuantizer
+from .storage import MappedSubset
 
 __all__ = ["IVFIndex", "IVFPQIndex"]
 
@@ -179,23 +185,16 @@ class IVFIndex(VectorIndex):
         self._order: np.ndarray | None = None
         self._cells: list[np.ndarray] | None = None
         self._local_of: np.ndarray | None = None
-        # Cell storage: in-memory blocks (build/add path; codes only when
-        # coded) or the checkpoint's arrays, read lazily by member name
-        # (load path) — exactly one is set on a built index.
-        self._cell_vecs: list[np.ndarray] | None = None
-        self._cell_codes: list[np.ndarray] | None = None
+        # The corpus: cell member name -> array.  A dict after build, the
+        # checkpoint's mapping after load, and a ChainMap of replaced
+        # cells over that mapping once a loaded index is grown.
         self._store: Mapping[str, np.ndarray] | None = None
         # Squared norms per cell for the exact Euclidean scan, computed on
         # first probe so an attached index never pages in unprobed cells.
         self._norms: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    # introspection (an attached index has no resident vectors_)
-    @property
-    def size(self) -> int:
-        return (0 if self.assignments_ is None
-                else int(self.assignments_.shape[0]))
-
+    # introspection
     @property
     def dim(self) -> int:
         return (0 if self.centroids_ is None
@@ -203,37 +202,34 @@ class IVFIndex(VectorIndex):
 
     @property
     def attached(self) -> bool:
-        """Is cell data served lazily from an mmap-backed checkpoint?"""
-        return self._store is not None
+        """Is every cell served lazily from an mmap-backed checkpoint?
 
-    def _require_built(self) -> None:
-        if self.assignments_ is None:
-            raise VectorIndexError(
-                f"{type(self).__name__} is empty; call build() first")
+        True for a loaded index until an ``add`` replaces some cells.
+        """
+        return isinstance(self._store, MappedSubset)
+
+    def _resident_cells(self) -> list[np.ndarray]:
+        """The cell arrays held in memory (not read from a file mapping)."""
+        store = self._store
+        if isinstance(store, ChainMap):
+            store = store.maps[0]
+        return list(store.values()) if isinstance(store, dict) else []
 
     def memory_bytes(self) -> int:
         """Resident bytes of the index structure.
 
-        For an attached index this excludes the mmap-backed cell members
-        (the OS pages those in and out on demand) — it is the number the
+        Bookkeeping plus the cells held in memory.  Cells served from a
+        checkpoint mapping are excluded (the OS pages those in and out
+        on demand) — for a loaded index this is the number the
         memory-reduction benchmark reports.
         """
         self._require_built()
         resident = [self.ids_, self.assignments_, self.centroids_,
                     self._order, self._local_of,
-                    *self._norms.values()]
+                    *self._norms.values(), *self._resident_cells()]
         if self.quantizer_ is not None:
             resident.extend(self.quantizer_.state_arrays().values())
-        total = sum(a.nbytes for a in resident if a is not None)
-        if not self.attached:
-            if self.vectors_ is not None:
-                total += self.vectors_.nbytes
-            if self._search_vectors is not None \
-                    and self._search_vectors is not self.vectors_:
-                total += self._search_vectors.nbytes
-            total += sum(b.nbytes for b in self._cell_codes or ())
-            total += sum(b.nbytes for b in self._cell_vecs or ())
-        return total
+        return sum(a.nbytes for a in resident if a is not None)
 
     # ------------------------------------------------------------------
     # layout
@@ -269,14 +265,17 @@ class IVFIndex(VectorIndex):
         self._cells = np.split(order, starts[1:-1])
 
     def _codes(self, cell: int) -> np.ndarray:
-        if self._store is not None:
-            return self._store[_CODES_MEMBER.format(cell)]
-        return self._cell_codes[cell]
+        return self._store[_CODES_MEMBER.format(cell)]
 
     def _vecs(self, cell: int) -> np.ndarray:
-        if self._store is not None:
-            return self._store[_VECS_MEMBER.format(cell)]
-        return self._cell_vecs[cell]
+        return self._store[_VECS_MEMBER.format(cell)]
+
+    def _store_cells(self, search: np.ndarray) -> None:
+        """Cut search rows into a fresh in-memory store, one block per cell."""
+        self._store = {_VECS_MEMBER.format(cell):
+                       np.ascontiguousarray(search[members])
+                       for cell, members in enumerate(self._cells)}
+        self._norms = {}
 
     def _cell_sq(self, cell: int) -> np.ndarray:
         norms = self._norms.get(cell)
@@ -312,10 +311,10 @@ class IVFIndex(VectorIndex):
             return np.empty((0, self._code_width()), dtype=np.uint8)
         return self.quantizer_.encode(vecs - self.centroids_[cell])
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, X: np.ndarray) -> None:
         from ..clustering import KMeans
 
-        X = self._search_vectors
+        X = self._as_search(X)
         n, d = X.shape
         nlist = self._effective_nlist(n)
         sample = self._train_sample(
@@ -327,11 +326,9 @@ class IVFIndex(VectorIndex):
                                      dtype=INDEX_DTYPE)
         self.assignments_ = nearest_cells(X, self.centroids_, 1)[:, 0]
         self._derive_layout()
-        self._store, self._norms = None, {}
-        self._cell_vecs = [np.ascontiguousarray(X[members])
-                           for members in self._cells]
+        self._store_cells(X)
         if self.coding == "none":
-            self.quantizer_, self._cell_codes = None, None
+            self.quantizer_ = None
             return
         code_sample = self._residual_sample(X)
         if self.coding == "pq":
@@ -339,40 +336,25 @@ class IVFIndex(VectorIndex):
                 self._effective_m(d), seed=self.seed).train(code_sample)
         else:
             self.quantizer_ = ScalarQuantizer().train(code_sample)
-        self._cell_codes = [self._encode_cell(vecs, cell)
-                            for cell, vecs in enumerate(self._cell_vecs)]
+        for cell in range(self.centroids_.shape[0]):
+            self._store[_CODES_MEMBER.format(cell)] = self._encode_cell(
+                self._vecs(cell), cell)
 
-    def _materialize(self) -> None:
-        """Copy an attached index's cells into memory before an append.
-
-        The mapping is released afterwards; other loads of the same file
-        keep their own mappings, so they go on reading that generation.
-        """
-        if self._store is None:
-            return
-        nlist = self.centroids_.shape[0]
-        self._cell_vecs = [np.array(self._vecs(cell), dtype=INDEX_DTYPE)
-                           for cell in range(nlist)]
-        if self.quantizer_ is not None:
-            self._cell_codes = [np.array(self._codes(cell))
-                                for cell in range(nlist)]
-        search = np.empty((self.size, self.dim), dtype=INDEX_DTYPE)
-        search[self._order] = np.concatenate(self._cell_vecs)
-        # Attached checkpoints keep only the search representation (unit
-        # rows under cosine); it stands in for the raw vectors too.
-        self.vectors_ = self._search_vectors = search
-        self._store, self._norms = None, {}
-
-    def _append(self, start: int) -> None:
-        fresh = self._search_vectors[start:]
+    def _append(self, X: np.ndarray) -> None:
+        fresh = self._as_search(X)
         cells = nearest_cells(fresh, self.centroids_, 1)[:, 0]
         self.assignments_ = np.concatenate([self.assignments_, cells])
+        if not isinstance(self._store, MutableMapping):
+            # A loaded index: replaced cells go in memory, over a mapping
+            # that keeps serving the rest from their file generation.
+            self._store = ChainMap({}, self._store)
         for cell in np.unique(cells):
             block = np.ascontiguousarray(fresh[cells == cell])
-            self._cell_vecs[cell] = np.vstack([self._cell_vecs[cell], block])
-            if self._cell_codes is not None:
-                self._cell_codes[cell] = np.vstack(
-                    [self._cell_codes[cell], self._encode_cell(block, cell)])
+            self._store[_VECS_MEMBER.format(cell)] = np.vstack(
+                [self._vecs(cell), block])
+            if self.quantizer_ is not None:
+                self._store[_CODES_MEMBER.format(cell)] = np.vstack(
+                    [self._codes(cell), self._encode_cell(block, cell)])
             self._norms.pop(int(cell), None)
         # Appended rows have the largest global positions, so the stable
         # re-derivation lands them at the tail of each cell segment —
@@ -383,8 +365,6 @@ class IVFIndex(VectorIndex):
     # exact distances
     def _exact_rows(self, positions: np.ndarray) -> np.ndarray:
         """Exact (metric-transformed) vectors at arbitrary positions."""
-        if self._search_vectors is not None:
-            return self._search_vectors[positions]
         out = np.empty((positions.shape[0], self.dim), dtype=INDEX_DTYPE)
         cells = self.assignments_[positions]
         local = self._local_of[positions]
@@ -440,14 +420,6 @@ class IVFIndex(VectorIndex):
         return self._search_by_row(Q, k, probes,
                                    tunables.get("rerank", self.rerank))
 
-    @staticmethod
-    def _adc_row(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """ADC accumulation for one (query, cell) pair: ``m`` gathers."""
-        scores = lut[0, codes[:, 0]].copy()
-        for j in range(1, codes.shape[1]):
-            scores += lut[j, codes[:, j]]
-        return scores
-
     def _approx_to_metric(self, scores: np.ndarray) -> np.ndarray:
         """Squared-Euclidean scores as (approximate) metric distances."""
         if self.metric == "cosine":
@@ -486,7 +458,8 @@ class IVFIndex(VectorIndex):
                 if residuals is None:
                     chunk = self._cell_distances(query, row_sq, cell)[0]
                 elif luts is not None:
-                    chunk = self._adc_row(luts[rank], self._codes(cell))
+                    chunk = self.quantizer_.adc(luts[rank:rank + 1],
+                                                self._codes(cell))[0]
                 else:
                     chunk = squared_euclidean_distances(
                         residuals[rank:rank + 1],
@@ -585,8 +558,8 @@ class IVFIndex(VectorIndex):
             arrays.update(self.quantizer_.state_arrays())
         for cell in range(self.centroids_.shape[0]):
             if self.quantizer_ is not None:
-                arrays[f"cell.{cell:06d}.codes"] = self._codes(cell)
-            arrays[f"cell.{cell:06d}.vecs"] = self._vecs(cell)
+                arrays[_CODES_MEMBER.format(cell)] = self._codes(cell)
+            arrays[_VECS_MEMBER.format(cell)] = self._vecs(cell)
         return arrays
 
     @classmethod
@@ -597,9 +570,7 @@ class IVFIndex(VectorIndex):
                   **{name: params[name] for name in _PARAMS
                      if name in params}}
         index = cls(metric=params["metric"], **kwargs)
-        ids = np.asarray(arrays["ids"])
-        index.ids_ = ids if ids.dtype.kind in "US" \
-            else ids.astype(np.int64, copy=False)
+        index.ids_ = cls._checkpoint_ids(arrays)
         index.centroids_ = np.asarray(arrays["centroids"], dtype=INDEX_DTYPE)
         index.assignments_ = np.asarray(arrays["assignments"],
                                         dtype=np.int64)
@@ -614,11 +585,8 @@ class IVFIndex(VectorIndex):
             # Former IVF-Flat layout: flat vectors and no cell members.
             # The stored assignments rebuild the cells exactly — the
             # quantizer is NOT retrained, so answers stay bit-identical.
-            index.vectors_ = np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)
-            index._search_vectors = index._as_search(index.vectors_)
-            index._cell_vecs = [
-                np.ascontiguousarray(index._search_vectors[members])
-                for members in index._cells]
+            index._store_cells(index._as_search(
+                np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)))
         elif index.centroids_.shape[0] > 0 \
                 and _VECS_MEMBER.format(0) not in arrays:
             raise VectorIndexError("no cell members; not an IVF checkpoint")

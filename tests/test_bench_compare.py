@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _MODULE_PATH = Path(__file__).parent.parent / "benchmarks" / "compare_bench.py"
 _spec = importlib.util.spec_from_file_location("compare_bench", _MODULE_PATH)
 compare_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_bench)
+
+_CONFTEST_PATH = _MODULE_PATH.parent / "conftest.py"
+_conftest_spec = importlib.util.spec_from_file_location("bench_conftest",
+                                                        _CONFTEST_PATH)
+bench_conftest = importlib.util.module_from_spec(_conftest_spec)
+_conftest_spec.loader.exec_module(bench_conftest)
 
 
 def _serve_doc(*, speedup=2.5, per_request_p99=50.0, micro_p99=5.0) -> dict:
@@ -165,6 +174,41 @@ class TestRunCompare:
         report = compare_bench.run_compare(baselines, current)
         assert report["status"] == "ok"
         assert all(row["status"] == "skipped" for row in report["rows"])
+
+
+class TestProvenance:
+    def test_written_bench_files_are_stamped(self, tmp_path):
+        path = tmp_path / "BENCH_stream.json"
+        bench_conftest.write_bench_json(path, _stream_doc())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        stamp = doc.pop("provenance")
+        assert doc == _stream_doc()
+        assert stamp["cpu_count"] == os.cpu_count()
+        assert stamp["python"] == platform.python_version()
+        assert stamp["numpy"] == np.__version__
+        threads = stamp["blas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
+        sha = stamp["git_sha"]
+        assert sha is None or (len(sha) == 40
+                               and set(sha) <= set("0123456789abcdef"))
+
+    def test_report_copies_the_fresh_runs_provenance(self, baseline_dir,
+                                                     tmp_path):
+        stamp = {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6",
+                 "blas_threads": None, "git_sha": None}
+        current = _write(
+            tmp_path / "current",
+            serve={**_serve_doc(), "provenance": stamp},
+            figure4={"rows": _figure4_doc(), "provenance": stamp})
+        report = compare_bench.run_compare(baseline_dir, current)
+        # The row-list baseline and the stamped fresh file still compare.
+        assert report["status"] == "ok"
+        assert {row["file"] for row in report["rows"]
+                if row["status"] == "ok"} == {
+                    "BENCH_serve.json", "BENCH_figure4_scalability.json"}
+        assert report["provenance"] == {
+            "BENCH_serve.json": stamp,
+            "BENCH_figure4_scalability.json": stamp}
 
 
 class TestMainCli:
