@@ -18,21 +18,22 @@ what else it keeps and how a probed cell is scanned:
   where the corpus queries itself) loop over cells instead, one matmul
   per cell against every query that probes it.
 * ``coding="pq"`` (registry name ``"ivfpq"``) — :class:`ProductQuantizer`
-  codes, ``m`` bytes per vector.  Candidates are scored by asymmetric
-  distance: one lookup-table build per probed cell, then ``m`` table
-  reads per candidate.
+  codes, ``m`` bytes per vector.
 * ``coding="sq"`` — :class:`ScalarQuantizer` codes, ``d`` bytes per
-  vector, scored against the int8 reconstructions.
+  vector.
 
 Codes quantize *residuals* (``x - centroid(cell)``), IVFADC-style: every
 member of a cell shares the coarse term, so spending the code budget on
-it would leave within-cell structure unresolved.  The identity
-``||q - x||^2 = ||(q - c) - (x - c)||^2`` keeps residual scores true
-squared distances to each candidate's reconstruction.  Approximate
-scores only *shortlist*: the top ``rerank`` candidates are re-scored
-against the exact vectors, so returned distances are true metric
-distances.  ``nprobe`` (and, for coded indexes, ``rerank``) are
-per-request tunables (:meth:`VectorIndex.query`).
+it would leave within-cell structure unresolved.  A candidate in cell
+``c`` with decoded residual ``r`` scores ``||q - c - r||^2 = ||q - c||^2
++ (||r||^2 + 2<c, r>) - 2<q, r>`` (Jégou et al.'s precomputed tables):
+the coarse term per probed cell, the code-only middle term cached per
+cell on first probe, and the quantizer's :meth:`inner_products` — one
+pass over a query's probed codes.  Approximate scores only *shortlist*:
+the top ``rerank`` candidates are re-scored against the exact vectors,
+so returned distances are true metric distances.  ``nprobe`` (and, for
+coded indexes, ``rerank``) are per-request tunables
+(:meth:`VectorIndex.query`).
 
 For ``metric="cosine"`` vectors are unit-normalised once at insert time;
 on the unit sphere the Euclidean and cosine orderings coincide, so the
@@ -189,9 +190,9 @@ class IVFIndex(VectorIndex):
         # checkpoint's mapping after load, and a ChainMap of replaced
         # cells over that mapping once a loaded index is grown.
         self._store: Mapping[str, np.ndarray] | None = None
-        # Squared norms per cell for the exact Euclidean scan, computed on
+        # Per-member scan terms per cell (see _cell_term), computed on
         # first probe so an attached index never pages in unprobed cells.
-        self._norms: dict[int, np.ndarray] = {}
+        self._terms: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -226,7 +227,7 @@ class IVFIndex(VectorIndex):
         self._require_built()
         resident = [self.ids_, self.assignments_, self.centroids_,
                     self._order, self._local_of,
-                    *self._norms.values(), *self._resident_cells()]
+                    *self._terms.values(), *self._resident_cells()]
         if self.quantizer_ is not None:
             resident.extend(self.quantizer_.state_arrays().values())
         return sum(a.nbytes for a in resident if a is not None)
@@ -275,14 +276,19 @@ class IVFIndex(VectorIndex):
         self._store = {_VECS_MEMBER.format(cell):
                        np.ascontiguousarray(search[members])
                        for cell, members in enumerate(self._cells)}
-        self._norms = {}
+        self._terms = {}
 
-    def _cell_sq(self, cell: int) -> np.ndarray:
-        norms = self._norms.get(cell)
-        if norms is None:
-            norms = np.sum(self._vecs(cell) ** 2, axis=1)
-            self._norms[cell] = norms
-        return norms
+    def _cell_term(self, cell: int) -> np.ndarray:
+        """Per-member squared norms, or ``||r||^2 + 2<c, r>`` when coded."""
+        term = self._terms.get(cell)
+        if term is None:
+            if self.quantizer_ is None:
+                term = np.sum(self._vecs(cell) ** 2, axis=1)
+            else:
+                term = self.quantizer_.residual_terms(self.centroids_[cell],
+                                                      self._codes(cell))
+            self._terms[cell] = term
+        return term
 
     # ------------------------------------------------------------------
     # build / add
@@ -355,7 +361,7 @@ class IVFIndex(VectorIndex):
             if self.quantizer_ is not None:
                 self._store[_CODES_MEMBER.format(cell)] = np.vstack(
                     [self._codes(cell), self._encode_cell(block, cell)])
-            self._norms.pop(int(cell), None)
+            self._terms.pop(int(cell), None)
         # Appended rows have the largest global positions, so the stable
         # re-derivation lands them at the tail of each cell segment —
         # matching the vstack order above.
@@ -391,7 +397,8 @@ class IVFIndex(VectorIndex):
             distances = 1.0 - Q @ block.T
             np.maximum(distances, 0.0, out=distances)
             return distances
-        d2 = q_sq[:, None] + self._cell_sq(cell)[None, :] - 2.0 * (Q @ block.T)
+        d2 = (q_sq[:, None] + self._cell_term(cell)[None, :]
+              - 2.0 * (Q @ block.T))
         return np.sqrt(np.maximum(d2, 0.0))
 
     def _pad_pool(self, pool: np.ndarray, k: int) -> np.ndarray:
@@ -420,21 +427,28 @@ class IVFIndex(VectorIndex):
         return self._search_by_row(Q, k, probes,
                                    tunables.get("rerank", self.rerank))
 
-    def _approx_to_metric(self, scores: np.ndarray) -> np.ndarray:
-        """Squared-Euclidean scores as (approximate) metric distances."""
-        if self.metric == "cosine":
-            # Unit sphere: ||q - x||^2 = 2 (1 - cos), so halving recovers
-            # the cosine distance (up to quantization error).
-            return np.maximum(scores / 2.0, 0.0)
-        return np.sqrt(scores)
+    def _coded_scores(self, query: np.ndarray,
+                      cells: list[int]) -> np.ndarray:
+        """Approximate squared distances to ``cells``' members, one pass.
+
+        The coarse term is a direct difference: far from the origin an
+        expansion would cancel to a per-cell error.
+        """
+        coarse = np.sum((query - self.centroids_[cells]) ** 2, axis=1)
+        scores = np.repeat(coarse, [self._cells[cell].size for cell in cells])
+        scores += np.concatenate([self._cell_term(cell) for cell in cells])
+        codes = np.concatenate([self._codes(cell) for cell in cells])
+        scores -= 2.0 * self.quantizer_.inner_products(query, codes)
+        return scores
 
     def _search_by_row(self, Q: np.ndarray, k: int, probes: np.ndarray,
                        rerank: int) -> tuple[np.ndarray, np.ndarray]:
         """Score each query's probed cells; coded scores are reranked.
 
         Without coding every probed cell is scanned exactly, one small
-        matmul per cell.  With coding the cells' codes are scored and the
-        top ``rerank`` candidates re-scored against the exact vectors.
+        matmul per cell.  With coding the cells' codes are scored in one
+        pass and the top ``rerank`` candidates re-scored against the
+        exact vectors.
         """
         q = Q.shape[0]
         indices = np.empty((q, k), dtype=np.int64)
@@ -442,32 +456,8 @@ class IVFIndex(VectorIndex):
         q_sq = None if self.metric == "cosine" else np.sum(Q ** 2, axis=1)
         for row in range(q):
             query = Q[row:row + 1]
-            row_sq = None if q_sq is None else q_sq[row:row + 1]
-            luts = residuals = None
-            if self.quantizer_ is not None:
-                # Residual queries, one per probed cell: scores stay
-                # squared distances to the candidates' reconstructions.
-                residuals = query - self.centroids_[probes[row]]
-                if self.coding == "pq":
-                    luts = self.quantizer_.lookup_tables(residuals)
-            pools, chunks = [], []
-            for rank, cell in enumerate(probes[row]):
-                members = self._cells[cell]
-                if members.size == 0:
-                    continue
-                if residuals is None:
-                    chunk = self._cell_distances(query, row_sq, cell)[0]
-                elif luts is not None:
-                    chunk = self.quantizer_.adc(luts[rank:rank + 1],
-                                                self._codes(cell))[0]
-                else:
-                    chunk = squared_euclidean_distances(
-                        residuals[rank:rank + 1],
-                        self.quantizer_.decode(self._codes(cell)))[0]
-                pools.append(members)
-                chunks.append(chunk)
-            pool = (np.concatenate(pools) if pools
-                    else np.empty(0, dtype=np.int64))
+            cells = probes[row].tolist()
+            pool = np.concatenate([self._cells[cell] for cell in cells])
             if pool.size < k:
                 # Under-filled probes (tiny corpora): back-fill and score
                 # the whole pool exactly — correctness over speed on a
@@ -476,14 +466,22 @@ class IVFIndex(VectorIndex):
                 d = self._exact_distances(query, pool)
                 indices[row], distances[row] = self._top_k(d, pool, k)
                 continue
-            scores = (np.concatenate(chunks) if len(chunks) > 1
-                      else chunks[0])
-            if residuals is None:
+            if self.quantizer_ is None:
+                row_sq = None if q_sq is None else q_sq[row:row + 1]
+                scores = np.concatenate(
+                    [self._cell_distances(query, row_sq, cell)[0]
+                     for cell in cells])
                 indices[row], distances[row] = self._top_k(scores, pool, k)
                 continue
+            scores = self._coded_scores(Q[row], cells)
             if rerank == 0:
+                # Approximate metric distances, clamped first: the split
+                # can cancel to slightly below 0.  On the unit sphere
+                # ||q - x||^2 = 2 (1 - cos), so halving gives cosine.
+                np.maximum(scores, 0.0, out=scores)
                 indices[row], distances[row] = self._top_k(
-                    self._approx_to_metric(scores), pool, k)
+                    scores / 2.0 if self.metric == "cosine"
+                    else np.sqrt(scores), pool, k)
                 continue
             shortlist = min(max(rerank, k), pool.size)
             if pool.size > shortlist:

@@ -14,9 +14,12 @@ query has to touch so the hot set stays in fast memory:
   ``init="random"`` on a bounded sample).  One byte per sub-space —
   ``m`` bytes per vector regardless of ``d`` — and distances are
   computed *asymmetrically*: the query stays float, only the corpus is
-  compressed, so each query pays one small lookup-table build
-  (:meth:`ProductQuantizer.lookup_tables`) and every candidate
-  afterwards costs ``m`` table reads instead of ``d`` multiplies.
+  compressed: one ``(m, 256)`` inner-product table per query row, then
+  ``m`` table reads per candidate instead of ``d`` multiplies.
+
+Both score codes for :mod:`repro.index.ivf`'s IVFADC split through
+``inner_products`` (``<q, r>`` for ``r = decode(code)``) and
+``residual_terms`` (``||r||^2 + 2<c, r>``).
 
 Both quantizers are deterministic given their seed/training data and
 round-trip their state through plain arrays (``state_arrays`` /
@@ -108,6 +111,15 @@ class ScalarQuantizer:
         self._require_trained()
         codes = np.asarray(codes)
         return codes.astype(INDEX_DTYPE) * self.scale_ + self.min_
+
+    def inner_products(self, q: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """``<q, decode(code)>`` per code row: the decode is affine."""
+        return codes @ (q * self.scale_) + float(q @ self.min_)
+
+    def residual_terms(self, c: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """``||r||^2 + 2<c, r>`` per code row, ``r = decode(code)``."""
+        r = self.decode(codes)
+        return np.sum(r * (r + 2.0 * c), axis=1)
 
     # persistence -------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -217,35 +229,24 @@ class ProductQuantizer:
             out[:, j * ds:(j + 1) * ds] = self.codebooks_[j][codes[:, j]]
         return out
 
-    # asymmetric distance -----------------------------------------------
-    def lookup_tables(self, Q: np.ndarray) -> np.ndarray:
-        """Per-query ADC tables: ``(q, m, n_codes)`` squared sub-distances.
+    def inner_products(self, q: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """``<q, decode(code)>`` per code row, from one table per sub-space."""
+        table = np.matmul(self.codebooks_, q.reshape(self.m, -1, 1))
+        return self._table_sum(table[:, :, 0], codes)
 
-        ``adc(luts, codes)`` then scores any code block without touching
-        floats — the query-side half of asymmetric distance computation:
-        queries stay exact, only the corpus is compressed.
-        """
-        self._require_trained()
-        Q = np.asarray(Q, dtype=INDEX_DTYPE)
-        parts = self._split(Q)
-        luts = np.empty((Q.shape[0], self.m, self.codebooks_.shape[1]),
-                        dtype=INDEX_DTYPE)
-        for j in range(self.m):
-            luts[:, j, :] = squared_euclidean_distances(parts[:, j, :],
-                                                        self.codebooks_[j])
-        return luts
+    def residual_terms(self, c: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """``||r||^2 + 2<c, r>`` per code row, ``r = decode(code)``."""
+        cb = self.codebooks_
+        # A matvec sums the short sub-vector axis far faster than np.sum.
+        table = (cb * cb) @ np.ones(cb.shape[2], dtype=cb.dtype) \
+            + 2.0 * np.matmul(cb, c.reshape(self.m, -1, 1))[:, :, 0]
+        return self._table_sum(table, codes)
 
-    def adc(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Approximate squared distances ``(q, n)`` from ADC tables.
-
-        Exactly the squared Euclidean distance from each query to each
-        code's *reconstruction* (``decode``), summed from the per-sub-space
-        tables — ``m`` gathers per candidate block instead of ``d``
-        multiplies.
-        """
-        scores = luts[:, 0, :][:, codes[:, 0]].copy()
+    def _table_sum(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """``sum_j table[j, codes[:, j]]``: ``m`` table reads per code."""
+        scores = table[0].take(codes[:, 0])
         for j in range(1, self.m):
-            scores += luts[:, j, :][:, codes[:, j]]
+            scores += table[j].take(codes[:, j])
         return scores
 
     # persistence -------------------------------------------------------

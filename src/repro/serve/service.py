@@ -54,6 +54,11 @@ _TUNABLE_FIELDS = ("ef_search", "nprobe", "rerank")
 #: full-corpus rerank per query row.
 _MAX_TUNABLE = 1_000_000
 
+#: Neighbour batchers per loaded index.  Each distinct (k, tunables) a
+#: client sends needs its own batcher and collector thread; past this
+#: many, a new combination is answered unbatched instead.
+_MAX_NEIGHBOR_BATCHERS = 8
+
 
 class PredictService:
     """Resolve, embed and micro-batch predict requests for a model directory.
@@ -177,7 +182,9 @@ class PredictService:
         ``rerank`` — validated against the backend's contract,
         defaulting to its build-time settings).  Concurrent
         requests with the same ``k`` *and* tunables are micro-batched
-        into shared index queries.  Returns ids, positions and distances
+        into shared index queries (for the first
+        ``_MAX_NEIGHBOR_BATCHERS`` combinations per index; later ones
+        are answered unbatched).  Returns ids, positions and distances
         per query row, each row ordered nearest first.
         """
         loaded = self.registry.get(name)
@@ -360,9 +367,11 @@ class PredictService:
         # Same eviction-race discipline as _batched_predict: a closed
         # batcher means the load was retired, so resolve afresh and retry.
         for _ in range(3):
+            batcher = self._neighbor_batcher_for(loaded, k, tunables)
+            if batcher is None:
+                break
             try:
-                result = self._neighbor_batcher_for(
-                    loaded, k, tunables).submit(matrix)
+                result = batcher.submit(matrix)
             except ServingError as exc:
                 if "closed" not in str(exc):
                     raise
@@ -386,7 +395,9 @@ class PredictService:
             return batcher
 
     def _neighbor_batcher_for(self, loaded: LoadedModel, k: int,
-                              tunables: dict[str, int]) -> MicroBatcher:
+                              tunables: dict[str, int]
+                              ) -> MicroBatcher | None:
+        """The batcher for one (index, k, tunables), or ``None`` at the cap."""
         index = loaded.model
 
         def query_rows(X: np.ndarray) -> np.ndarray:
@@ -403,6 +414,9 @@ class PredictService:
         with self._lock:
             batcher = self._batchers.get((loaded, k, knobs))
             if batcher is None:
+                if sum(key[0] is loaded for key in self._batchers) \
+                        >= _MAX_NEIGHBOR_BATCHERS:
+                    return None
                 batcher = MicroBatcher(query_rows,
                                        max_batch_rows=self.max_batch_rows,
                                        max_delay=self.max_delay,

@@ -229,6 +229,22 @@ class TestMainCli:
         assert compare_bench.main(["--baseline-dir", str(baseline_dir),
                                    "--current-dir", str(good)]) == 0
 
+    def test_ivfpq_qps_gated_against_committed_baseline(self, tmp_path):
+        baselines = Path(__file__).parent.parent / "benchmarks" / "baselines"
+        doc = json.loads((baselines / "BENCH_index.json").read_text(
+            encoding="utf-8"))
+        assert compare_bench._metrics_index(doc)["ivfpq_qps@1M"] == (
+            174.5, "higher")
+        for qps, status in ((100.0, "fail"), (500.0, "ok")):
+            current = tmp_path / f"qps{qps:g}"
+            current.mkdir()
+            slowed = {**doc, "ivfpq": {**doc["ivfpq"], "qps": qps}}
+            (current / "BENCH_index.json").write_text(json.dumps(slowed))
+            report = compare_bench.run_compare(baselines, current)
+            row, = [row for row in report["rows"]
+                    if row["metric"] == "ivfpq_qps@1M"]
+            assert row["status"] == status
+
     def test_committed_baselines_are_valid(self):
         """The real committed baselines parse and yield every gated metric."""
         baselines = Path(__file__).parent.parent / "benchmarks" / "baselines"

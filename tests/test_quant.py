@@ -6,6 +6,7 @@ per-request tunables surfaced through the serving layer.
 """
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -30,6 +31,7 @@ from repro.index import (
     ScalarQuantizer,
     VectorIndex,
 )
+from repro.index.ivf import nearest_cells
 from repro.serialize import (
     read_checkpoint_header,
     rotate_checkpoint,
@@ -105,16 +107,6 @@ class TestScalarQuantizer:
 # ----------------------------------------------------------------------
 # product quantizer
 class TestProductQuantizer:
-    def test_adc_equals_distance_to_reconstruction(self):
-        """ADC table scores are exactly ||q - decode(code)||^2."""
-        X, _ = clustered(400, dim=16, seed=2)
-        quantizer = ProductQuantizer(4, seed=0).train(X)
-        codes = quantizer.encode(X)
-        Q = X[:7].astype(np.float32)
-        via_tables = quantizer.adc(quantizer.lookup_tables(Q), codes)
-        direct = squared_euclidean_distances(Q, quantizer.decode(codes))
-        assert np.allclose(via_tables, direct, atol=1e-3)
-
     def test_m_must_divide_dimensionality(self):
         with pytest.raises(ConfigurationError):
             ProductQuantizer(5).train(np.random.default_rng(0)
@@ -138,6 +130,79 @@ class TestProductQuantizer:
         assert np.array_equal(quantizer.encode(probe), restored.encode(probe))
         assert np.array_equal(quantizer.decode(quantizer.encode(probe)),
                               restored.decode(restored.encode(probe)))
+
+
+# ----------------------------------------------------------------------
+# coded scoring: precomputed terms, one pass per query
+class TestCodedScoring:
+    @pytest.mark.parametrize("coding", ["pq", "sq"])
+    def test_split_equals_distance_to_reconstruction(self, coding):
+        """||q-c||^2 + (||r||^2 + 2<c,r>) - 2<q,r> is ||q - (c + r)||^2."""
+        X, _ = clustered(400, dim=16, seed=2)
+        index = IVFIndex(metric="euclidean", nlist=4, m=4,
+                         coding=coding).build(X)
+        quantizer = index.quantizer_
+        Q = (X[:7] + 0.5).astype(np.float32)
+        for cell in range(4):
+            c, codes = index.centroids_[cell], index._codes(cell)
+            r = quantizer.decode(codes)
+            assert np.allclose(quantizer.inner_products(Q[0], codes),
+                               r @ Q[0], atol=1e-3)
+            direct = squared_euclidean_distances(Q, c + r)
+            for row, q in enumerate(Q):
+                split = (np.sum((q - c) ** 2) + index._cell_term(cell)
+                         - 2.0 * quantizer.inner_products(q, codes))
+                assert np.allclose(split, direct[row], atol=1e-3)
+                assert np.allclose(index._coded_scores(q, [cell]),
+                                   direct[row], atol=1e-3)
+
+    @pytest.mark.parametrize("coding", ["pq", "sq"])
+    def test_euclidean_rerank_zero_self_query_is_finite(self, coding):
+        """The split can cancel below zero; no NaN may reach the caller.
+
+        Fewer rows than codes per sub-space make every PQ code exact, so
+        each row's own approximate distance is zero up to rounding; ``k``
+        is the whole corpus so every score is returned.
+        """
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 8)) + 50.0
+        index = IVFIndex(metric="euclidean", nlist=2, nprobe=2, m=4,
+                         coding=coding).build(X)
+        _, distances = index.query(X, X.shape[0], rerank=0)
+        assert np.isfinite(distances).all() and (distances >= 0).all()
+
+    @pytest.mark.parametrize("loaded", [False, True],
+                             ids=["built", "loaded"])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("coding", ["sq", "pq"])
+    def test_cell_terms_cached_per_probe_and_dropped_on_add(
+            self, coding, metric, loaded, tmp_path):
+        X, _ = clustered(600, dim=16, seed=11)
+        Q, fresh = X[:6], X[:6] + 0.01
+        make = partial(IVFIndex, metric=metric, nlist=16, nprobe=3, m=4,
+                       coding=coding)
+        index = make().build(X)
+        if loaded:
+            index.save(tmp_path / "ivf.index.npz")
+            index = VectorIndex.load(tmp_path / "ivf.index.npz")
+        before = index.memory_bytes()
+        first = index.query(Q, 5)
+        probed = {int(cell) for cell in np.unique(nearest_cells(
+            index._as_search(Q.astype(np.float32)), index.centroids_, 3))}
+        assert set(index._terms) == probed
+        term_bytes = sum(index._cells[cell].size for cell in probed) \
+            * np.dtype(np.float32).itemsize
+        assert index.memory_bytes() - before == term_bytes
+        # Fresh rows land in the queries' own (probed, cached) cells.
+        index.add(fresh)
+        touched = {int(cell) for cell in index.assignments_[X.shape[0]:]}
+        assert touched <= probed and not touched & set(index._terms)
+        grown = make().build(X).add(fresh)
+        for tunables in ({}, {"rerank": 0}):
+            for got, want in zip(index.query(Q, 5, **tunables),
+                                 grown.query(Q, 5, **tunables)):
+                assert np.array_equal(got, want)
+        assert not np.array_equal(first[0], index.query(Q, 5)[0])
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +488,51 @@ class TestServingTunables:
             with pytest.raises(ServingError, match="nprobe"):
                 service.neighbors("quantized",
                                   {"vectors": X[:1].tolist(), "nprobe": bad})
+
+    def test_neighbor_batchers_are_bounded_per_index(self, service):
+        """Many distinct tunables cannot start a thread per value."""
+        from repro.serve.service import _MAX_NEIGHBOR_BATCHERS
+
+        service, X = service
+        index = service.registry.get("quantized").model
+        threads = threading.active_count()
+        for rerank in range(20):
+            result = service.neighbors("quantized", {
+                "vectors": X[:3].tolist(), "k": 4, "rerank": rerank})
+            positions, distances = index.query(X[:3], 4, rerank=rerank)
+            assert result["positions"] == positions.tolist()
+            assert result["distances"] == distances.tolist()
+        assert len(service._batchers) == _MAX_NEIGHBOR_BATCHERS
+        assert threading.active_count() - threads <= _MAX_NEIGHBOR_BATCHERS
+
+    def test_neighbor_batcher_cap_holds_under_concurrency(self, service):
+        from repro.serve.service import _MAX_NEIGHBOR_BATCHERS
+
+        service, X = service
+        errors = []
+
+        def client(offset):
+            try:
+                for rerank in range(offset, offset + 10):
+                    service.neighbors("quantized", {
+                        "vectors": X[:1].tolist(), "k": 3, "rerank": rerank})
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client, args=(3 * w,))
+                       for w in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert errors == []
+        assert len(service._batchers) == _MAX_NEIGHBOR_BATCHERS
 
 
 class TestMmapServingRotation:
