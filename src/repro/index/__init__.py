@@ -12,12 +12,13 @@ behind one protocol:
   the probed cells exactly (registry name ``"ivf"``), ``"pq"``/``"sq"``
   score quantized codes (:class:`ProductQuantizer` /
   :class:`ScalarQuantizer` from :mod:`repro.index.quant`) and re-score
-  the top ``rerank`` exactly (registry name ``"ivfpq"``).  Its cells
-  are its only corpus store, in one layout whether built, grown or
-  loaded; saved IVF indexes load memory-mapped with lazily paged cells
-  — the million-vector, larger-than-RAM backend — and an ``add``
-  replaces only the cells it touches.  ``IVFPQIndex`` is the same class
-  under its former name.
+  the top ``rerank`` exactly (registry name ``"ivfpq"``).  Its
+  inverted lists (vectors, codes and scan terms, row-aligned in cell
+  order) are its only corpus store, in one layout whether built, grown
+  or loaded; saved IVF indexes load memory-mapped with lazily paged
+  lists — the million-vector, larger-than-RAM backend — and an ``add``
+  merges its batch into new in-memory lists.  ``IVFPQIndex`` is the same
+  class under its former name.
 
 All backends support cosine and Euclidean metrics, incremental
 :meth:`add` for streaming, and round-trip through the versioned

@@ -27,8 +27,8 @@ member of a cell shares the coarse term, so spending the code budget on
 it would leave within-cell structure unresolved.  A candidate in cell
 ``c`` with decoded residual ``r`` scores ``||q - c - r||^2 = ||q - c||^2
 + (||r||^2 + 2<c, r>) - 2<q, r>`` (Jégou et al.'s precomputed tables):
-the coarse term per probed cell, the code-only middle term cached per
-cell on first probe, and the quantizer's :meth:`inner_products` — one
+the coarse term per probed cell, the code-only middle term stored per
+vector (``list_terms``), and the quantizer's :meth:`inner_products` — one
 pass over a query's probed codes.  Approximate scores only *shortlist*:
 the top ``rerank`` candidates are re-scored against the exact vectors,
 so returned distances are true metric distances.  ``nprobe`` (and, for
@@ -43,28 +43,27 @@ Incremental :meth:`VectorIndex.add` assigns new vectors to their nearest
 existing cell — the streaming write path; the quantizers are only
 retrained by a fresh :meth:`VectorIndex.build`.
 
-The cells are the index's only corpus store, in one layout however the
-index came to be: a name -> array mapping of each cell's exact vectors
-and, when coded, its codes (``cell.NNNNNN.vecs`` / ``cell.NNNNNN.codes``
-— the checkpoint's member names).  :meth:`VectorIndex.build` fills a
-plain dict.  :func:`repro.serialize.load_checkpoint` hands
-``from_checkpoint`` the checkpoint's file mapping
-(:class:`repro.index.storage.MappedArrays`), and the loaded index keeps
-it as its store: only ids, assignments and the quantizers are read at
-load — cell data is paged in by the OS when a query probes the cell — so
-corpora larger than RAM load in milliseconds and serve within it.  Cell
-membership is *derived*, not stored: a stable argsort of the
-assignments yields the per-cell member lists, so loading touches no
-cell member.  An ``add`` replaces only the cells its batch touches with
-new in-memory arrays; on a loaded index the untouched cells stay
-read-only views of the file generation they came from, which is safe
-because checkpoint files are only ever replaced, never rewritten.
+The inverted lists are the index's only corpus store, in one layout
+however the index came to be: row-aligned arrays in cell order (also the
+checkpoint's member names) — ``list_vecs`` (exact vectors), ``list_codes``
+(when coded) and ``list_terms`` (the scan term, ``||x||^2`` uncoded and
+``||r||^2 + 2<c, r>`` coded).  Cell offsets and row order are *derived*
+from the assignments by a stable argsort, so a query slices its probed
+cells out of the lists.  :meth:`VectorIndex.build` fills a plain dict.
+:func:`repro.serialize.load_checkpoint` hands ``from_checkpoint`` the
+checkpoint's file mapping (:class:`repro.index.storage.MappedArrays`),
+and the loaded index keeps it: only ids, assignments and the quantizers
+are read at load, and the OS pages list rows in when a query probes
+their cells — corpora larger than RAM load in milliseconds and serve
+within it.  An ``add`` merges the encoded batch into new in-memory lists;
+the mapped file is never written (checkpoint files are only ever
+replaced).  Older layouts (per-cell members, IVF-Flat's flat
+``vectors``) load into in-memory lists without retraining or re-encoding.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -100,9 +99,12 @@ _CODINGS = ("none", "sq", "pq")
 #: Constructor parameters persisted in the checkpoint header.
 _PARAMS = ("nlist", "nprobe", "m", "rerank", "coding", "seed")
 
-#: Checkpoint array names of one cell's payload.
-_CODES_MEMBER = "cell.{:06d}.codes"
-_VECS_MEMBER = "cell.{:06d}.vecs"
+#: Checkpoint member names of the inverted lists, row-aligned in cell
+#: order (``list_codes`` only when coded).
+_LISTS = ("list_vecs", "list_codes", "list_terms")
+#: Member names of one cell's payload in the per-cell layout written
+#: before the lists were flat (read by the upgrade only).
+_CELL_MEMBER = "cell.%06d.%s"
 
 
 def nearest_cells(Q: np.ndarray, centroids: np.ndarray,
@@ -181,18 +183,15 @@ class IVFIndex(VectorIndex):
         self.assignments_: np.ndarray | None = None
         self.quantizer_ = None
         # Derived layout (all resident, all computed from assignments_):
-        # _cells[c] lists cell c's member positions (a view of _order);
-        # _local_of maps a global position to its offset inside its cell.
+        # _order lists positions in list-row order, cell c owns list rows
+        # _starts[c]:_starts[c + 1], and _row_of maps a position to its
+        # list row.
         self._order: np.ndarray | None = None
-        self._cells: list[np.ndarray] | None = None
-        self._local_of: np.ndarray | None = None
-        # The corpus: cell member name -> array.  A dict after build, the
-        # checkpoint's mapping after load, and a ChainMap of replaced
-        # cells over that mapping once a loaded index is grown.
-        self._store: Mapping[str, np.ndarray] | None = None
-        # Per-member scan terms per cell (see _cell_term), computed on
-        # first probe so an attached index never pages in unprobed cells.
-        self._terms: dict[int, np.ndarray] = {}
+        self._starts: np.ndarray | None = None
+        self._row_of: np.ndarray | None = None
+        # The inverted lists, keyed by their _LISTS member names: a dict
+        # after build or add, the checkpoint's mapping after load.
+        self._lists: Mapping[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -203,31 +202,29 @@ class IVFIndex(VectorIndex):
 
     @property
     def attached(self) -> bool:
-        """Is every cell served lazily from an mmap-backed checkpoint?
+        """Are the lists served lazily from an mmap-backed checkpoint?
 
-        True for a loaded index until an ``add`` replaces some cells.
+        True for a loaded index until an ``add`` merges new lists.
         """
-        return isinstance(self._store, MappedSubset)
+        return isinstance(self._lists, MappedSubset)
 
-    def _resident_cells(self) -> list[np.ndarray]:
-        """The cell arrays held in memory (not read from a file mapping)."""
-        store = self._store
-        if isinstance(store, ChainMap):
-            store = store.maps[0]
-        return list(store.values()) if isinstance(store, dict) else []
+    def _list_names(self) -> tuple[str, ...]:
+        coded = self.quantizer_ is not None
+        return _LISTS if coded else ("list_vecs", "list_terms")
 
     def memory_bytes(self) -> int:
         """Resident bytes of the index structure.
 
-        Bookkeeping plus the cells held in memory.  Cells served from a
-        checkpoint mapping are excluded (the OS pages those in and out
-        on demand) — for a loaded index this is the number the
+        Bookkeeping plus the lists when they are held in memory.  Lists
+        served from a checkpoint mapping are excluded (the OS pages those
+        in and out on demand) — for a loaded index this is the number the
         memory-reduction benchmark reports.
         """
         self._require_built()
         resident = [self.ids_, self.assignments_, self.centroids_,
-                    self._order, self._local_of,
-                    *self._terms.values(), *self._resident_cells()]
+                    self._order, self._starts, self._row_of]
+        if not self.attached:
+            resident.extend(self._lists[name] for name in self._list_names())
         if self.quantizer_ is not None:
             resident.extend(self.quantizer_.state_arrays().values())
         return sum(a.nbytes for a in resident if a is not None)
@@ -247,48 +244,51 @@ class IVFIndex(VectorIndex):
         return m
 
     def _derive_layout(self) -> None:
-        """CSR cell membership from assignments — resident math only.
+        """List-row order and cell offsets from assignments — resident math.
 
         Stable argsort orders members by global position within each
-        cell, which is exactly the order cells are stored and saved in,
-        so derived membership and stored cell blocks always agree.
+        cell, which is exactly the row order the lists are stored and
+        saved in, so the derived layout and the stored lists always agree.
         """
         nlist = self.centroids_.shape[0]
         n = self.assignments_.shape[0]
         order = np.argsort(self.assignments_, kind="stable")
-        counts = np.bincount(self.assignments_, minlength=nlist)
         starts = np.zeros(nlist + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        local = np.empty(n, dtype=np.int64)
-        local[order] = (np.arange(n, dtype=np.int64)
-                        - starts[self.assignments_[order]])
-        self._order, self._local_of = order, local
-        self._cells = np.split(order, starts[1:-1])
+        np.cumsum(np.bincount(self.assignments_, minlength=nlist),
+                  out=starts[1:])
+        row_of = np.empty(n, dtype=np.int64)
+        row_of[order] = np.arange(n, dtype=np.int64)
+        self._order, self._starts, self._row_of = order, starts, row_of
 
-    def _codes(self, cell: int) -> np.ndarray:
-        return self._store[_CODES_MEMBER.format(cell)]
+    def _spans(self, cells) -> list[slice]:
+        """The list rows of each of ``cells``, in the given order."""
+        starts = self._starts
+        return [slice(starts[cell], starts[cell + 1]) for cell in cells]
 
-    def _vecs(self, cell: int) -> np.ndarray:
-        return self._store[_VECS_MEMBER.format(cell)]
+    def _lists_of(self, vecs: np.ndarray, cells: np.ndarray,
+                  codes: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """List members for the cell-ordered rows ``vecs`` of ``cells``.
 
-    def _store_cells(self, search: np.ndarray) -> None:
-        """Cut search rows into a fresh in-memory store, one block per cell."""
-        self._store = {_VECS_MEMBER.format(cell):
-                       np.ascontiguousarray(search[members])
-                       for cell, members in enumerate(self._cells)}
-        self._terms = {}
-
-    def _cell_term(self, cell: int) -> np.ndarray:
-        """Per-member squared norms, or ``||r||^2 + 2<c, r>`` when coded."""
-        term = self._terms.get(cell)
-        if term is None:
-            if self.quantizer_ is None:
-                term = np.sum(self._vecs(cell) ** 2, axis=1)
-            else:
-                term = self.quantizer_.residual_terms(self.centroids_[cell],
-                                                      self._codes(cell))
-            self._terms[cell] = term
-        return term
+        Codes (unless given) and scan terms are computed one cell at a
+        time, so a cell's rows get the same arithmetic whether they
+        arrive by build, add or upgrade.
+        """
+        cuts = (np.flatnonzero(np.diff(cells)) + 1).tolist()
+        blocks = [(cells[a], slice(a, b))
+                  for a, b in zip([0, *cuts], [*cuts, vecs.shape[0]])]
+        quantizer = self.quantizer_
+        if quantizer is None:
+            return {"list_vecs": vecs, "list_terms": np.concatenate(
+                [np.sum(vecs[rows] ** 2, axis=1) for _, rows in blocks])}
+        if codes is None:
+            codes = np.concatenate(
+                [quantizer.encode(vecs[rows] - self.centroids_[cell])
+                 for cell, rows in blocks])
+        return {"list_vecs": vecs, "list_codes": codes,
+                "list_terms": np.concatenate(
+                    [quantizer.residual_terms(self.centroids_[cell],
+                                              codes[rows])
+                     for cell, rows in blocks])}
 
     # ------------------------------------------------------------------
     # build / add
@@ -309,14 +309,6 @@ class IVFIndex(VectorIndex):
             pick = np.arange(n)
         return X[pick] - self.centroids_[self.assignments_[pick]]
 
-    def _code_width(self) -> int:
-        return self.quantizer_.m if self.coding == "pq" else self.dim
-
-    def _encode_cell(self, vecs: np.ndarray, cell: int) -> np.ndarray:
-        if vecs.shape[0] == 0:
-            return np.empty((0, self._code_width()), dtype=np.uint8)
-        return self.quantizer_.encode(vecs - self.centroids_[cell])
-
     def _rebuild(self, X: np.ndarray) -> None:
         from ..clustering import KMeans
 
@@ -332,57 +324,41 @@ class IVFIndex(VectorIndex):
                                      dtype=INDEX_DTYPE)
         self.assignments_ = nearest_cells(X, self.centroids_, 1)[:, 0]
         self._derive_layout()
-        self._store_cells(X)
-        if self.coding == "none":
-            self.quantizer_ = None
-            return
-        code_sample = self._residual_sample(X)
+        self.quantizer_ = None
         if self.coding == "pq":
             self.quantizer_ = ProductQuantizer(
-                self._effective_m(d), seed=self.seed).train(code_sample)
-        else:
-            self.quantizer_ = ScalarQuantizer().train(code_sample)
-        for cell in range(self.centroids_.shape[0]):
-            self._store[_CODES_MEMBER.format(cell)] = self._encode_cell(
-                self._vecs(cell), cell)
+                self._effective_m(d), seed=self.seed).train(
+                    self._residual_sample(X))
+        elif self.coding == "sq":
+            self.quantizer_ = ScalarQuantizer().train(
+                self._residual_sample(X))
+        self._lists = self._lists_of(X[self._order],
+                                     self.assignments_[self._order])
 
     def _append(self, X: np.ndarray) -> None:
         fresh = self._as_search(X)
         cells = nearest_cells(fresh, self.centroids_, 1)[:, 0]
+        n = self.assignments_.shape[0]
+        batch = np.argsort(cells, kind="stable")
+        added = self._lists_of(fresh[batch], cells[batch])
+        # Stacked rows: the old lists, then the batch in cell order.  New
+        # rows take the largest positions, so the stable re-derivation
+        # lands each at its cell's tail; one gather merges (a loaded
+        # index's file is only read).
+        source = np.concatenate([self._row_of, np.empty_like(batch)])
+        source[n + batch] = np.arange(n, n + batch.size)
         self.assignments_ = np.concatenate([self.assignments_, cells])
-        if not isinstance(self._store, MutableMapping):
-            # A loaded index: replaced cells go in memory, over a mapping
-            # that keeps serving the rest from their file generation.
-            self._store = ChainMap({}, self._store)
-        for cell in np.unique(cells):
-            block = np.ascontiguousarray(fresh[cells == cell])
-            self._store[_VECS_MEMBER.format(cell)] = np.vstack(
-                [self._vecs(cell), block])
-            if self.quantizer_ is not None:
-                self._store[_CODES_MEMBER.format(cell)] = np.vstack(
-                    [self._codes(cell), self._encode_cell(block, cell)])
-            self._terms.pop(int(cell), None)
-        # Appended rows have the largest global positions, so the stable
-        # re-derivation lands them at the tail of each cell segment —
-        # matching the vstack order above.
         self._derive_layout()
+        rows = source[self._order]
+        self._lists = {name: np.concatenate([self._lists[name], block])[rows]
+                       for name, block in added.items()}
 
     # ------------------------------------------------------------------
     # exact distances
-    def _exact_rows(self, positions: np.ndarray) -> np.ndarray:
-        """Exact (metric-transformed) vectors at arbitrary positions."""
-        out = np.empty((positions.shape[0], self.dim), dtype=INDEX_DTYPE)
-        cells = self.assignments_[positions]
-        local = self._local_of[positions]
-        for cell in np.unique(cells):
-            mask = cells == cell
-            out[mask] = self._vecs(cell)[local[mask]]
-        return out
-
     def _exact_distances(self, query: np.ndarray,
                          positions: np.ndarray) -> np.ndarray:
         """Exact distances from one query row to arbitrary positions."""
-        block = self._exact_rows(positions)
+        block = self._lists["list_vecs"][self._row_of[positions]]
         if self.metric == "cosine":
             distances = 1.0 - query @ block.T
             np.maximum(distances, 0.0, out=distances)
@@ -390,14 +366,14 @@ class IVFIndex(VectorIndex):
         return np.sqrt(squared_euclidean_distances(query, block))[0]
 
     def _cell_distances(self, Q: np.ndarray, q_sq: np.ndarray | None,
-                        cell: int) -> np.ndarray:
-        """Exact distances from the rows of ``Q`` to one cell's members."""
-        block = self._vecs(cell)
+                        span: slice) -> np.ndarray:
+        """Exact distances from the rows of ``Q`` to one cell's list rows."""
+        block = self._lists["list_vecs"][span]
         if self.metric == "cosine":
             distances = 1.0 - Q @ block.T
             np.maximum(distances, 0.0, out=distances)
             return distances
-        d2 = (q_sq[:, None] + self._cell_term(cell)[None, :]
+        d2 = (q_sq[:, None] + self._lists["list_terms"][span][None, :]
               - 2.0 * (Q @ block.T))
         return np.sqrt(np.maximum(d2, 0.0))
 
@@ -427,18 +403,19 @@ class IVFIndex(VectorIndex):
         return self._search_by_row(Q, k, probes,
                                    tunables.get("rerank", self.rerank))
 
-    def _coded_scores(self, query: np.ndarray,
-                      cells: list[int]) -> np.ndarray:
-        """Approximate squared distances to ``cells``' members, one pass.
+    def _coded_scores(self, query: np.ndarray, cells: list[int],
+                      spans: list[slice]) -> np.ndarray:
+        """Approximate squared distances to ``cells``' list rows, one pass.
 
         The coarse term is a direct difference: far from the origin an
         expansion would cancel to a per-cell error.
         """
         coarse = np.sum((query - self.centroids_[cells]) ** 2, axis=1)
-        scores = np.repeat(coarse, [self._cells[cell].size for cell in cells])
-        scores += np.concatenate([self._cell_term(cell) for cell in cells])
-        codes = np.concatenate([self._codes(cell) for cell in cells])
-        scores -= 2.0 * self.quantizer_.inner_products(query, codes)
+        scores = np.repeat(coarse, [span.stop - span.start for span in spans])
+        terms, codes = self._lists["list_terms"], self._lists["list_codes"]
+        scores += np.concatenate([terms[span] for span in spans])
+        scores -= 2.0 * self.quantizer_.inner_products(
+            query, np.concatenate([codes[span] for span in spans]))
         return scores
 
     def _search_by_row(self, Q: np.ndarray, k: int, probes: np.ndarray,
@@ -457,7 +434,8 @@ class IVFIndex(VectorIndex):
         for row in range(q):
             query = Q[row:row + 1]
             cells = probes[row].tolist()
-            pool = np.concatenate([self._cells[cell] for cell in cells])
+            spans = self._spans(cells)
+            pool = np.concatenate([self._order[span] for span in spans])
             if pool.size < k:
                 # Under-filled probes (tiny corpora): back-fill and score
                 # the whole pool exactly — correctness over speed on a
@@ -469,11 +447,11 @@ class IVFIndex(VectorIndex):
             if self.quantizer_ is None:
                 row_sq = None if q_sq is None else q_sq[row:row + 1]
                 scores = np.concatenate(
-                    [self._cell_distances(query, row_sq, cell)[0]
-                     for cell in cells])
+                    [self._cell_distances(query, row_sq, span)[0]
+                     for span in spans])
                 indices[row], distances[row] = self._top_k(scores, pool, k)
                 continue
-            scores = self._coded_scores(Q[row], cells)
+            scores = self._coded_scores(Q[row], cells, spans)
             if rerank == 0:
                 # Approximate metric distances, clamped first: the split
                 # can cancel to slightly below 0.  On the unit sphere
@@ -503,14 +481,16 @@ class IVFIndex(VectorIndex):
         q_sq = None if self.metric == "cosine" else np.sum(Q ** 2, axis=1)
         pool_d = np.full((q, nprobe * k), np.inf, dtype=Q.dtype)
         pool_i = np.zeros((q, nprobe * k), dtype=np.int64)
-        for cell, members in enumerate(self._cells):
+        for cell, span in enumerate(self._spans(
+                range(self.centroids_.shape[0]))):
+            members = self._order[span]
             if members.size == 0:
                 continue
             rows, ranks = np.nonzero(probes == cell)
             if rows.size == 0:
                 continue
             row_sq = None if q_sq is None else q_sq[rows]
-            d = self._cell_distances(Q[rows], row_sq, cell)
+            d = self._cell_distances(Q[rows], row_sq, span)
             take = min(k, members.size)
             if members.size > take:
                 keep = np.argpartition(d, kth=take - 1, axis=1)[:, :take]
@@ -547,17 +527,15 @@ class IVFIndex(VectorIndex):
         return {name: getattr(self, name) for name in _PARAMS}
 
     def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        # Deliberately no flat "vectors" array: exact vectors live only in
-        # the per-cell members, which loaders map lazily.
+        # Deliberately no position-ordered "vectors" array: exact vectors
+        # live only in the cell-ordered lists, which loaders map lazily.
         self._require_built()
         arrays = {"ids": self.ids_, "centroids": self.centroids_,
                   "assignments": self.assignments_}
         if self.quantizer_ is not None:
             arrays.update(self.quantizer_.state_arrays())
-        for cell in range(self.centroids_.shape[0]):
-            if self.quantizer_ is not None:
-                arrays[_CODES_MEMBER.format(cell)] = self._codes(cell)
-            arrays[_VECS_MEMBER.format(cell)] = self._vecs(cell)
+        arrays.update((name, self._lists[name])
+                      for name in self._list_names())
         return arrays
 
     @classmethod
@@ -579,19 +557,36 @@ class IVFIndex(VectorIndex):
         elif "sq_min" in arrays:
             index.quantizer_ = ScalarQuantizer.from_state_arrays(arrays)
         index._derive_layout()
-        if "vectors" in arrays:
-            # Former IVF-Flat layout: flat vectors and no cell members.
-            # The stored assignments rebuild the cells exactly — the
-            # quantizer is NOT retrained, so answers stay bit-identical.
-            index._store_cells(index._as_search(
-                np.asarray(arrays["vectors"], dtype=INDEX_DTYPE)))
-        elif index.centroids_.shape[0] > 0 \
-                and _VECS_MEMBER.format(0) not in arrays:
-            raise VectorIndexError("no cell members; not an IVF checkpoint")
+        if "list_vecs" in arrays:
+            # The lists stay in the checkpoint: a probe reads its own rows.
+            index._lists = arrays
         else:
-            # Cells stay in the checkpoint: a probe reads its own members.
-            index._store = arrays
+            index._upgrade(arrays)
         return index
+
+    def _upgrade(self, arrays) -> None:
+        """In-memory lists from an older layout, without re-encoding.
+
+        IVF-Flat stored flat ``vectors`` in position order, and earlier
+        IVF files one vectors (and codes) member per cell; the stored
+        assignments fix the row order, so answers stay bit-identical.
+        """
+        cells = self.assignments_[self._order]
+        if "vectors" in arrays:
+            vecs = self._as_search(np.asarray(arrays["vectors"],
+                                              dtype=INDEX_DTYPE))
+            self._lists = self._lists_of(vecs[self._order], cells)
+            return
+        if _CELL_MEMBER % (0, "vecs") not in arrays:
+            raise VectorIndexError("no inverted lists; not an IVF checkpoint")
+
+        def joined(part: str) -> np.ndarray:
+            return np.concatenate([arrays[_CELL_MEMBER % (cell, part)]
+                                   for cell in range(len(self._starts) - 1)])
+
+        self._lists = self._lists_of(
+            joined("vecs"), cells,
+            None if self.quantizer_ is None else joined("codes"))
 
     def _quantizer_metadata(self) -> dict | None:
         if self.quantizer_ is None:

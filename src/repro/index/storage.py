@@ -16,10 +16,10 @@ file therefore share one page-cache copy of its weights, and keep sharing
 across hot rotations (each generation is a new file, mapped afresh).
 :class:`repro.index.IVFIndex` keeps the mapping after load for its
 inverted lists — a million-vector corpus attaches in milliseconds and
-only the probed cells' pages are ever faulted in, so corpora larger than
-RAM serve fine.  The ``touched`` set records which members have been
-materialised; the lazy-loading tests assert unprobed cells never appear
-in it.
+only the pages holding probed cells' rows are ever faulted in, so
+corpora larger than RAM serve fine.  The ``touched`` set records which
+members have been materialised; the lazy-loading tests assert that a
+load materialises no list member and a query only the lists.
 
 Corruption is caught where ``zipfile`` would catch it: opening checks
 that every member's bytes lie inside the file (a truncated file fails
@@ -29,7 +29,7 @@ is set each member is checked against its zip CRC-32 on first read.
 Stored files written before members were aligned place them at
 arbitrary byte offsets.  numpy hands only aligned operands to BLAS, so
 for such a member a read returns an aligned private copy (read-only like
-a view, and not cached, so a large legacy index never grows into RAM).
+a view, and not cached, so it is freed with its reader).
 Deflated checkpoints written by earlier releases cannot be mapped; this
 class rejects them and :func:`numpy.load` reads them instead.
 
@@ -124,7 +124,7 @@ class MappedArrays(Mapping):
         self.touched: set[str] = set()
         #: Check each member's CRC-32 on first read.  The loader clears
         #: it once the model is built, so lazily paged members (IVF
-        #: cells) are not read whole at query time.
+        #: lists) are not read whole at query time.
         self.verify_crc = True
         self._views: dict[str, np.ndarray] = {}
         #: name -> (member data start, member size, CRC-32)

@@ -334,7 +334,7 @@ def load_checkpoint(path: str | Path):
     The model's arrays are read-only views into the file's mapping, so a
     model that updates its state must replace arrays, not write into
     them.  Every member read while building the model is checked against
-    its zip CRC-32; members a model maps lazily (IVF cells) are paged in
+    its zip CRC-32; members a model maps lazily (IVF lists) are paged in
     at query time instead.
     """
     from .index.storage import MappedArrays

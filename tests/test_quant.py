@@ -31,12 +31,7 @@ from repro.index import (
     ScalarQuantizer,
     VectorIndex,
 )
-from repro.index.ivf import nearest_cells
-from repro.serialize import (
-    read_checkpoint_header,
-    rotate_checkpoint,
-    save_checkpoint,
-)
+from repro.serialize import read_checkpoint_header, rotate_checkpoint
 from repro.utils.metrics_dispatch import squared_euclidean_distances
 
 
@@ -143,17 +138,20 @@ class TestCodedScoring:
                          coding=coding).build(X)
         quantizer = index.quantizer_
         Q = (X[:7] + 0.5).astype(np.float32)
-        for cell in range(4):
-            c, codes = index.centroids_[cell], index._codes(cell)
-            r = quantizer.decode(codes)
-            assert np.allclose(quantizer.inner_products(Q[0], codes),
+        terms, codes = index._lists["list_terms"], index._lists["list_codes"]
+        for cell, span in enumerate(index._spans(range(4))):
+            c = index.centroids_[cell]
+            r = quantizer.decode(codes[span])
+            assert np.array_equal(terms[span],
+                                  quantizer.residual_terms(c, codes[span]))
+            assert np.allclose(quantizer.inner_products(Q[0], codes[span]),
                                r @ Q[0], atol=1e-3)
             direct = squared_euclidean_distances(Q, c + r)
             for row, q in enumerate(Q):
-                split = (np.sum((q - c) ** 2) + index._cell_term(cell)
-                         - 2.0 * quantizer.inner_products(q, codes))
+                split = (np.sum((q - c) ** 2) + terms[span]
+                         - 2.0 * quantizer.inner_products(q, codes[span]))
                 assert np.allclose(split, direct[row], atol=1e-3)
-                assert np.allclose(index._coded_scores(q, [cell]),
+                assert np.allclose(index._coded_scores(q, [cell], [span]),
                                    direct[row], atol=1e-3)
 
     @pytest.mark.parametrize("coding", ["pq", "sq"])
@@ -170,39 +168,6 @@ class TestCodedScoring:
                          coding=coding).build(X)
         _, distances = index.query(X, X.shape[0], rerank=0)
         assert np.isfinite(distances).all() and (distances >= 0).all()
-
-    @pytest.mark.parametrize("loaded", [False, True],
-                             ids=["built", "loaded"])
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    @pytest.mark.parametrize("coding", ["sq", "pq"])
-    def test_cell_terms_cached_per_probe_and_dropped_on_add(
-            self, coding, metric, loaded, tmp_path):
-        X, _ = clustered(600, dim=16, seed=11)
-        Q, fresh = X[:6], X[:6] + 0.01
-        make = partial(IVFIndex, metric=metric, nlist=16, nprobe=3, m=4,
-                       coding=coding)
-        index = make().build(X)
-        if loaded:
-            index.save(tmp_path / "ivf.index.npz")
-            index = VectorIndex.load(tmp_path / "ivf.index.npz")
-        before = index.memory_bytes()
-        first = index.query(Q, 5)
-        probed = {int(cell) for cell in np.unique(nearest_cells(
-            index._as_search(Q.astype(np.float32)), index.centroids_, 3))}
-        assert set(index._terms) == probed
-        term_bytes = sum(index._cells[cell].size for cell in probed) \
-            * np.dtype(np.float32).itemsize
-        assert index.memory_bytes() - before == term_bytes
-        # Fresh rows land in the queries' own (probed, cached) cells.
-        index.add(fresh)
-        touched = {int(cell) for cell in index.assignments_[X.shape[0]:]}
-        assert touched <= probed and not touched & set(index._terms)
-        grown = make().build(X).add(fresh)
-        for tunables in ({}, {"rerank": 0}):
-            for got, want in zip(index.query(Q, 5, **tunables),
-                                 grown.query(Q, 5, **tunables)):
-                assert np.array_equal(got, want)
-        assert not np.array_equal(first[0], index.query(Q, 5)[0])
 
 
 # ----------------------------------------------------------------------
@@ -304,21 +269,19 @@ class TestMappedCheckpoints:
         path = tmp_path / "ivfpq.index.npz"
         index.save(path)
         restored = VectorIndex.load(path)
-        # Attachment derives cell membership from the resident
-        # assignments; no cell member is read.
-
-        def cells_touched():
-            return {name for name in restored._store.store.touched
-                    if name.startswith("array.cell.")}
-
-        assert cells_touched() == set()
-        cell = int(restored.assignments_[0])
+        touched = restored._lists.store.touched
+        # Attachment derives the cell layout from the resident
+        # assignments; no list member is read.
+        assert not {name for name in touched if "list_" in name}
+        loaded = set(touched)
         restored.query(X[:1], 3, nprobe=1)
-        assert cells_touched() == {
-            f"array.cell.{cell:06d}.codes", f"array.cell.{cell:06d}.vecs"}
+        # A query reads only the lists, and only its probed cells' rows
+        # of them are paged in.
+        assert touched - loaded == {
+            "array.list_codes", "array.list_terms", "array.list_vecs"}
 
     def test_attached_index_is_read_only(self, built, tmp_path):
-        """The mapped file is never written: ``add`` replaces cells.
+        """The mapped file is never written: ``add`` merges new lists.
 
         The grown index is no longer purely attached, while a second
         attachment of the same file keeps answering from the unchanged
@@ -330,7 +293,7 @@ class TestMappedCheckpoints:
         before = path.read_bytes()
         restored = VectorIndex.load(path)
         other = VectorIndex.load(path)
-        assert not restored._vecs(0).flags.writeable
+        assert not restored._lists["list_vecs"].flags.writeable
         restored.add(X[:5] + 0.01)
         assert not restored.attached and restored.size == X.shape[0] + 5
         assert path.read_bytes() == before
@@ -344,8 +307,9 @@ class TestMappedCheckpoints:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("coding", ["none", "sq", "pq"])
-    def test_add_on_loaded_index_copies_only_touched_cells(self, coding,
-                                                           metric, tmp_path):
+    def test_add_on_loaded_index_merges_lists(self, coding, metric,
+                                              tmp_path):
+        """``add`` leaves the file as it was and equals build-then-add."""
         X, _ = clustered(400, dim=16, seed=1)
         fresh = X[:5] + 0.01
         make = partial(IVFIndex, metric=metric, nlist=16, nprobe=4, m=4,
@@ -354,38 +318,86 @@ class TestMappedCheckpoints:
         make().build(X).save(path)
         before = path.read_bytes()
         restored = VectorIndex.load(path)
-        names = [name for name in restored._store
-                 if name.startswith("cell.")]
-        views = {name: restored._store[name] for name in names}
+        names = restored._list_names()
+        views = {name: restored._lists[name] for name in names}
         restored.add(fresh)
-        assert path.read_bytes() == before
-        touched = {int(cell) for cell in restored.assignments_[X.shape[0]:]}
-        assert touched and len(touched) < restored.centroids_.shape[0]
+        assert path.read_bytes() == before and not restored.attached
         for name in names:
-            current = restored._store[name]
-            if int(name.split(".")[1]) in touched:
-                assert current is not views[name]
-                assert current.flags.writeable
-                assert not np.shares_memory(current, views[name])
-            else:
-                assert current is views[name]
-                assert not current.flags.writeable
+            merged = restored._lists[name]
+            assert merged.flags.writeable
+            assert not np.shares_memory(merged, views[name])
         grown = make().build(X).add(fresh)
-        for got, want in zip(restored.query(X[:40], 7),
-                             grown.query(X[:40], 7)):
-            assert np.array_equal(got, want)
+        for Q in (X[:40], X[7:8], fresh):
+            for got, want in zip(restored.query(Q, 7), grown.query(Q, 7)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("coding", ["none", "sq", "pq"])
+    def test_grown_index_answers_as_its_saved_copy(self, coding, metric,
+                                                   tmp_path):
+        """Merged lists hold each row where the layout says; a load agrees."""
+        X, _ = clustered(400, dim=16, seed=4)
+        rng = np.random.default_rng(9)
+        batches = [X[:1] + 0.01, X[::7] + rng.normal(size=(58, 16))]
+        index = IVFIndex(metric=metric, nlist=16, nprobe=4, m=4, rerank=24,
+                         coding=coding).build(X)
+        for batch in batches:
+            index.add(batch)
+        lists, quantizer = index._lists, index.quantizer_
+        vecs = lists["list_vecs"]
+        assert np.array_equal(vecs[index._row_of], index._as_search(
+            np.vstack([X, *batches]).astype(np.float32)))
+        for cell, span in enumerate(index._spans(range(16))):
+            if quantizer is None:
+                terms = np.sum(vecs[span] ** 2, axis=1)
+            else:
+                c = index.centroids_[cell]
+                codes = lists["list_codes"][span]
+                assert np.array_equal(codes, quantizer.encode(vecs[span] - c))
+                terms = quantizer.residual_terms(c, codes)
+            assert np.array_equal(lists["list_terms"][span], terms)
+        index.save(tmp_path / "grown.npz")
+        copy = VectorIndex.load(tmp_path / "grown.npz")
+        assert copy.attached
+        tunables = [{}, {"nprobe": 1}]
+        if coding != "none":
+            tunables.append({"rerank": 0})
+        # Single rows take the per-row scan; a batch of at least nlist
+        # rows takes the cell-major one when uncoded.
+        queries = [X[i:i + 1] + 0.3 for i in (0, 99, 399)] + [X[::20]]
+        for Q in queries:
+            for params in tunables:
+                for got, want in zip(copy.query(Q, 6, **params),
+                                     index.query(Q, 6, **params)):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("coding", ["none", "sq", "pq"])
+    def test_checkpoint_holds_resident_state_and_lists(self, coding,
+                                                       tmp_path):
+        X, _ = clustered(300, dim=16, seed=2)
+        path = tmp_path / "ivf.index.npz"
+        IVFIndex(nlist=16, m=4, coding=coding).build(X).save(path)
+        lists = {"list_vecs", "list_terms"} | (
+            set() if coding == "none" else {"list_codes"})
+        quantizer = {"none": set(), "sq": {"sq_min", "sq_scale"},
+                     "pq": {"pq_codebooks"}}[coding]
+        with np.load(path) as payload:
+            members = set(payload.files) - {"__header__"}
+        assert members == {f"array.{name}" for name in
+                           {"ids", "centroids", "assignments",
+                            *quantizer, *lists}}
 
     def test_attached_memory_excludes_cell_payload(self, built, tmp_path):
         X, index = built
         path = tmp_path / "ivfpq.index.npz"
         index.save(path)
         restored = VectorIndex.load(path)
-        # The built index holds its corpus once, as cells; the loaded one
-        # holds the same bookkeeping and leaves exactly the cell payload
+        # The built index holds its corpus once, as lists; the loaded one
+        # holds the same bookkeeping and leaves exactly the list payload
         # on disk.  (The bench gates the real 8x-vs-float64 claim at 1M
         # vectors, where the per-vector bookkeeping stops dominating.)
-        payload = sum(index._vecs(cell).nbytes + index._codes(cell).nbytes
-                      for cell in range(index.centroids_.shape[0]))
+        payload = sum(index._lists[name].nbytes for name in
+                      ("list_vecs", "list_codes", "list_terms"))
         assert restored.memory_bytes() == index.memory_bytes() - payload
 
     def test_mapped_arrays_rejects_compressed_checkpoints(self, tmp_path):

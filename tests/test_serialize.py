@@ -358,6 +358,42 @@ class TestLegacyIndexCheckpoints:
         assert np.array_equal(positions, expected[f"{name}_positions"])
         assert np.array_equal(distances, expected[f"{name}_distances"])
 
+    @pytest.mark.parametrize("coding", ["none", "sq"])
+    def test_per_cell_checkpoints_answer_as_before(self, coding, tmp_path):
+        """IVF files with one member per cell load into in-memory lists."""
+        expected = np.load(LEGACY_INDEXES / "expected_cells.npz")
+        Q = expected["Q"]
+
+        def answers(index) -> dict:
+            rows = [index.query(Q[i:i + 1], 5) for i in range(len(Q))]
+            out = {"batch": index.query(Q, 5),
+                   "rows": tuple(np.vstack(part) for part in zip(*rows)),
+                   "nprobe1": index.query(Q[:3], 5, nprobe=1)}
+            if coding != "none":
+                out["rerank0"] = index.query(Q[:3], 5, rerank=0)
+            return out
+
+        path = LEGACY_INDEXES / f"cells_{coding}.npz"
+        assert read_checkpoint_header(path)["class"] == "IVFIndex"
+        index = load_checkpoint(path)
+        assert type(index) is IVFIndex and index.coding == coding
+        assert not index.attached
+        got = answers(index)
+        for case, (positions, distances) in got.items():
+            prefix = f"cells_{coding}_{case}"
+            assert np.array_equal(positions, expected[f"{prefix}_positions"])
+            assert np.array_equal(distances, expected[f"{prefix}_distances"])
+        # Re-saved, the upgraded index writes the flat lists, loads them
+        # attached and answers the same.
+        index.save(tmp_path / "upgraded.npz")
+        with np.load(tmp_path / "upgraded.npz") as payload:
+            assert not [name for name in payload.files if ".cell." in name]
+        upgraded = load_checkpoint(tmp_path / "upgraded.npz")
+        assert upgraded.attached
+        for case, answer in answers(upgraded).items():
+            for a, b in zip(answer, got[case]):
+                assert np.array_equal(a, b)
+
     def test_former_ivf_flat_rebuilds_cells_from_stored_assignments(self):
         path = LEGACY_INDEXES / "ivfflat.npz"
         assert read_checkpoint_header(path)["class"] == "IVFFlatIndex"

@@ -440,9 +440,9 @@ class TestRecovery:
 
         A 3-batch stream keeps an index beside the model; rolling the
         index back one generation makes recovery replay the last batch
-        into the attached index, which must replace the cells it touches
-        in memory instead of refusing, and land on the index the stream
-        had.
+        into the attached index, which must merge the batch into
+        in-memory lists instead of refusing, and land on the index the
+        stream had.
         """
         import shutil
 
