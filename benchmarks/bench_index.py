@@ -61,7 +61,9 @@ _GRAPH_PARAMS = {"nprobe": 4}
 #: recall@10 >= 0.95 while the per-query candidate pool stays ~3% of the
 #: corpus).  Build time stays bounded because both quantizer trainings
 #: (coarse k-means and the PQ codebooks) run on capped samples, never the
-#: full corpus.
+#: full corpus.  The codebooks come from ``quant.py``'s own float32 Lloyd
+#: loop, so what remains of the build is the coarse ``KMeans``, assigning
+#: 1M rows to 1024 cells (``nearest_cells``) and encoding them.
 _IVFPQ_N = 1_000_000
 _IVFPQ_PARAMS = {"nlist": 1024, "nprobe": 32, "m": 16, "rerank": 256}
 

@@ -10,8 +10,10 @@ query has to touch so the hot set stays in fast memory:
   step per dimension, :attr:`ScalarQuantizer.max_round_trip_error`).
 * :class:`ProductQuantizer` — split the ``d`` dimensions into ``m``
   sub-spaces and vector-quantize each against its own 256-centroid
-  codebook (trained with the existing :class:`repro.clustering.KMeans`,
-  ``init="random"`` on a bounded sample).  One byte per sub-space —
+  codebook, trained on a bounded sample by this module's own float32
+  Lloyd loop (:func:`_lloyd`: one GEMM and one ``bincount`` update per
+  pass; the paper path's :class:`repro.clustering.KMeans` stays float64
+  and untouched).  One byte per sub-space —
   ``m`` bytes per vector regardless of ``d`` — and distances are
   computed *asymmetrically*: the query stays float, only the corpus is
   compressed: one ``(m, 256)`` inner-product table per query row, then
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import make_rng
 from ..exceptions import ConfigurationError, VectorIndexError
 from ..utils.metrics_dispatch import squared_euclidean_distances
 from ..utils.validation import check_matrix
@@ -48,6 +51,51 @@ _ENCODE_BLOCK = 65536
 #: Lloyd iterations per sub-space codebook (matches the IVF coarse
 #: quantizer's budget: codebooks converge fast on low-dim sub-vectors).
 _TRAIN_ITER = 12
+#: Lloyd stops early once the centres move less than this (Frobenius).
+_TRAIN_TOL = 1e-6
+
+
+def _lloyd(X: np.ndarray, k: int, seed: int | None) -> np.ndarray:
+    """``k`` float32 k-means centres of the rows of ``X``.
+
+    The initial centres are ``k`` distinct rows drawn uniformly from
+    ``make_rng(seed)``; each of at most ``_TRAIN_ITER`` passes assigns
+    every row to its nearest centre and moves each centre to the mean of
+    its rows, stopping when no label changes or the centres move at most
+    ``_TRAIN_TOL``.  A pass is one float32 GEMM and one ``argmin``:
+    ``||x||^2`` is the same for every centre, so it is left out of the
+    ranking and added back only to find far rows.  Means come from
+    ``bincount`` sums (float64 accumulators), one pass over the rows per
+    column.  The clusters left empty by a pass restart at that many
+    distinct rows, the farthest from their centres first.
+    """
+    n, ds = X.shape
+    centers = X[make_rng(seed).choice(n, size=k, replace=False)]
+    x_sq = np.einsum("ij,ij->i", X, X)
+    labels = np.full(n, -1, dtype=np.intp)
+    for _ in range(_TRAIN_ITER):
+        scores = X @ (-2.0 * centers.T)
+        scores += np.einsum("ij,ij->i", centers, centers)
+        new_labels = np.argmin(scores, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        sums = np.stack([np.bincount(new_labels, weights=X[:, c],
+                                     minlength=k) for c in range(ds)],
+                        axis=1)
+        filled = counts > 0
+        new_centers = np.empty_like(centers)
+        new_centers[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            far = x_sq + scores[np.arange(n), new_labels]
+            rows = np.argsort(-far, kind="stable")[:empty.size]
+            new_centers[empty] = X[rows]
+        shift = float(np.linalg.norm(new_centers - centers))
+        centers = new_centers
+        converged = np.array_equal(new_labels, labels) or shift <= _TRAIN_TOL
+        labels = new_labels
+        if converged:
+            break
+    return centers
 
 
 class ScalarQuantizer:
@@ -178,10 +226,9 @@ class ProductQuantizer:
 
         Callers bound the sample (PQ codebooks need thousands of rows,
         not the corpus) — that cap is what keeps a million-vector build
-        inside its time budget.
+        inside its time budget.  Sub-space ``j`` runs :func:`_lloyd` from
+        seed ``seed + j``.
         """
-        from ..clustering import KMeans
-
         X = check_matrix(X, name="X", dtype=INDEX_DTYPE)
         n, d = X.shape
         if d % self.m != 0:
@@ -193,10 +240,8 @@ class ProductQuantizer:
                              dtype=INDEX_DTYPE)
         for j in range(self.m):
             seed = None if self.seed is None else self.seed + j
-            kmeans = KMeans(n_codes, n_init=1, max_iter=_TRAIN_ITER,
-                            seed=seed, init="random")
-            kmeans.fit(parts[:, j, :])
-            codebooks[j] = kmeans.cluster_centers_.astype(INDEX_DTYPE)
+            codebooks[j] = _lloyd(np.ascontiguousarray(parts[:, j, :]),
+                                  n_codes, seed)
         self.codebooks_ = codebooks
         return self
 

@@ -126,6 +126,51 @@ class TestProductQuantizer:
         assert np.array_equal(quantizer.decode(quantizer.encode(probe)),
                               restored.decode(restored.encode(probe)))
 
+    def test_codebooks_are_float32_and_byte_identical_per_seed(self):
+        X, _ = clustered(1000, dim=16, seed=4)
+        a = ProductQuantizer(4, seed=2).train(X)
+        b = ProductQuantizer(4, seed=2).train(X)
+        assert a.codebooks_.dtype == np.float32
+        assert a.codebooks_.shape == (4, 256, 4)
+        assert a.codebooks_.tobytes() == b.codebooks_.tobytes()
+
+    def test_few_distinct_rows_round_trip_exactly(self):
+        """Empty codes restart without ever losing a distinct row."""
+        distinct = np.array([[0.0, 0.0, 0.0, 0.0],
+                             [10.0, -3.0, 2.5, 7.0],
+                             [-6.0, 4.0, -1.5, 0.25]], dtype=np.float32)
+        X = distinct[np.random.default_rng(5).integers(0, 3, size=600)]
+        quantizer = ProductQuantizer(2, seed=0).train(X)
+        assert np.array_equal(quantizer.decode(quantizer.encode(distinct)),
+                              distinct)
+
+    def test_fewer_rows_than_codes_train_one_code_per_row(self):
+        X, _ = clustered(100, dim=8, seed=6)
+        quantizer = ProductQuantizer(2, seed=0).train(X)
+        assert quantizer.codebooks_.shape == (2, 100, 4)
+
+    def test_quantization_error_matches_kmeans_codebooks(self):
+        """Within 2% of codebooks from the paper path's KMeans."""
+        from repro.clustering import KMeans
+
+        X, _ = clustered(4000, dim=16, seed=7)
+        index = IVFIndex(nlist=16, m=4, metric="euclidean").build(X)
+        residuals = (X - index.centroids_[index.assignments_]
+                     ).astype(np.float32)
+        quantizer = ProductQuantizer(4, seed=3).train(residuals)
+        parts = residuals.reshape(len(residuals), 4, 4)
+        yardstick = np.stack([
+            KMeans(256, n_init=1, max_iter=12, seed=3 + j, init="random")
+            .fit(parts[:, j, :]).cluster_centers_ for j in range(4)])
+        reference = ProductQuantizer.from_state_arrays(
+            {"pq_codebooks": yardstick}, m=4)
+
+        def mse(pq):
+            return float(np.mean(
+                (pq.decode(pq.encode(residuals)) - residuals) ** 2))
+
+        assert mse(quantizer) == pytest.approx(mse(reference), rel=0.02)
+
 
 # ----------------------------------------------------------------------
 # coded scoring: precomputed terms, one pass per query
