@@ -4,27 +4,34 @@ A speed claim against a parent commit is only as good as the comparison
 behind it.  This script makes that comparison one command::
 
     python benchmarks/ab.py --base REV --head REV --workload W --pairs N \\
-        [--seconds S] [--seed N] [--out benchmarks/ab]
+        [--out benchmarks/ab]
 
 Each revision is ``git archive``d into its own temporary directory and
 ``perfbench/run.py`` runs there, so the working tree is never touched.
 The two sides alternate, base first on even pairs and head first on odd
-ones, with the same seed, so host drift lands on both sides alike.
-perfbench stays a black box: the runner reads the last two lines of its
-output (provenance and details, then the result) and edits nothing under
-``perfbench/`` or ``BENCHMARK.json``.
+ones, so host drift lands on both sides alike.  Both runs of pair ``i``
+use workload seed ``FIRST_SEED + i`` and ``BENCHMARK.json``'s
+``run_seconds``: no run picks its own seed or length.  perfbench stays a
+black box: the runner reads the last two lines of its output (provenance
+and details, then the result) and edits nothing under ``perfbench/`` or
+``BENCHMARK.json``.  The two revisions must carry the same
+``BENCHMARK.json``; a head that edits it is refused, so no change is
+judged by bounds it set itself.
 
 It writes ``AB_<workload>.json``: every pair's metrics, the median and
 quartiles of each side, how many pairs the head won per metric, both
 revisions' provenance, and a per-metric verdict against the ``better``
 and ``bound`` of ``BENCHMARK.json``:
 
-* ``better`` — the head won at least 9 of every 10 pairs and its median
-  beats the base's by more than the base's interquartile range;
+* ``better`` — over at least ten pairs, the head won at least 9 of every
+  10 and its median beats the base's by more than the base's
+  interquartile range, and in no pair did a larger share of the head's
+  operations fail;
 * ``worse`` — the head's median is worse than the base's by more than
   the bound (a relative change);
-* ``unresolved`` — neither, but one side's interquartile range is wider
-  than the bound, so the runs cannot show that the metric held;
+* ``unresolved`` — neither, but the head is ahead over too few pairs or
+  with more failures, or one side's interquartile range is wider than
+  the bound, so the runs cannot show a gain or that the metric held;
 * ``same`` — none of these.
 """
 
@@ -45,6 +52,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Share of pairs the head must win for a ``better`` verdict.
 WIN_SHARE = 0.9
+#: Fewest pairs that can carry a ``better`` verdict.
+MIN_PAIRS = 10
+#: Workload seed of pair 0; pair ``i`` runs with ``FIRST_SEED + i``.
+FIRST_SEED = 41
 
 
 def resolve(rev: str) -> str:
@@ -63,6 +74,15 @@ def export(sha: str, dest: Path) -> Path:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return dest
+
+
+def load_benchmark(base: Path, head: Path) -> dict:
+    """``BENCHMARK.json`` of two checkouts, refused unless identical."""
+    text = (base / "BENCHMARK.json").read_text()
+    if (head / "BENCHMARK.json").read_text() != text:
+        raise ValueError("the head revision edits BENCHMARK.json; its "
+                         "metrics cannot be judged by its own bounds")
+    return json.loads(text)
 
 
 def parse_output(stdout: str) -> dict:
@@ -100,22 +120,30 @@ def _spread(values: list[float]) -> dict:
             "iqr": float(q3 - q1)}
 
 
-def verdict(spec: dict, base: list[float], head: list[float]) -> dict:
+def failed_share(run: dict) -> float:
+    return run["failed"] / run["attempted"] if run["attempted"] else 0.0
+
+
+def verdict(spec: dict, base: list[float], head: list[float],
+            more_failures: bool = False) -> dict:
     """Spread per side, head wins and the verdict of one metric.
 
     ``spec`` is the metric's ``BENCHMARK.json`` entry (``better`` is
     ``"lower"`` or ``"higher"``, ``bound`` a relative change).
+    ``more_failures`` says a larger share of the head's operations failed
+    in some pair, which rules a gain out.
     """
     sign = 1.0 if spec["better"] == "higher" else -1.0
     wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     b, h = _spread(base), _spread(head)
     gain = sign * (h["median"] - b["median"])
     allowed = spec["bound"] * abs(b["median"])
-    if wins >= math.ceil(WIN_SHARE * len(base)) and gain > b["iqr"]:
+    ahead = wins >= math.ceil(WIN_SHARE * len(base)) and gain > b["iqr"]
+    if ahead and len(base) >= MIN_PAIRS and not more_failures:
         call = "better"
     elif -gain > allowed:
         call = "worse"
-    elif max(b["iqr"], h["iqr"]) > allowed:
+    elif ahead or max(b["iqr"], h["iqr"]) > allowed:
         call = "unresolved"
     else:
         call = "same"
@@ -128,9 +156,12 @@ def verdict(spec: dict, base: list[float], head: list[float]) -> dict:
 
 def summarize(pairs: list[dict], benchmark: dict) -> dict:
     """Per-metric verdicts over ``pairs`` (each ``{"base", "head"}``)."""
+    more_failures = any(failed_share(p["head"]) > failed_share(p["base"])
+                        for p in pairs)
     return {spec["name"]: verdict(
                 spec, [p["base"]["metrics"][spec["name"]] for p in pairs],
-                [p["head"]["metrics"][spec["name"]] for p in pairs])
+                [p["head"]["metrics"][spec["name"]] for p in pairs],
+                more_failures)
             for spec in benchmark["end_to_end"]
             if all(spec["name"] in p[side]["metrics"]
                    for p in pairs for side in ("base", "head"))}
@@ -142,10 +173,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--head", required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed phase per run (BENCHMARK.json's "
-                             "run_seconds by default)")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, default=ROOT / "benchmarks" / "ab")
     args = parser.parse_args(argv)
 
@@ -154,25 +181,32 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: export(sha, Path(tmp) / side)
                  for side, sha in revs.items()}
-        benchmark = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds or benchmark.get("run_seconds", 12)
+        try:
+            benchmark = load_benchmark(trees["base"], trees["head"])
+        except ValueError as exc:
+            print(f"ab: {exc}", file=sys.stderr)
+            return 2
+        seconds = benchmark["run_seconds"]
         for pair in range(args.pairs):
             order = side_order(pair)
-            runs = {side: run_side(trees[side], args.workload, args.seed,
-                                   seconds) for side in order}
-            pairs.append({"pair": pair, "order": list(order), **runs})
+            seed = FIRST_SEED + pair
+            runs = {side: run_side(trees[side], args.workload, seed, seconds)
+                    for side in order}
+            pairs.append({"pair": pair, "seed": seed, "order": list(order),
+                          **runs})
             print(json.dumps({"pair": pair, **{
                 side: runs[side]["metrics"] for side in ("base", "head")}}),
                 flush=True)
 
     report = {
-        "workload": args.workload, "seed": args.seed, "seconds": seconds,
+        "workload": args.workload, "seconds": seconds,
         "base": {"rev": args.base, "sha": revs["base"],
                  "provenance": pairs[0]["base"]["provenance"]},
         "head": {"rev": args.head, "sha": revs["head"],
                  "provenance": pairs[0]["head"]["provenance"]},
         "metrics": summarize(pairs, benchmark),
-        "pairs": [{"pair": p["pair"], "order": p["order"], **{
+        "pairs": [{"pair": p["pair"], "seed": p["seed"],
+                   "order": p["order"], **{
             side: {key: p[side][key] for key in
                    ("metrics", "correct", "attempted", "failed")}
             for side in ("base", "head")}} for p in pairs],

@@ -18,7 +18,7 @@ _BENCHMARK = json.loads(
 
 
 def _perfbench_stdout(setup_s: float, ops_per_s: float, *,
-                      sha: str = "abc") -> str:
+                      sha: str = "abc", failed: int = 0) -> str:
     """What perfbench prints: chatter, provenance+details, result."""
     details = {"workload": "serve_search",
                "provenance": {"nproc": 2, "git_sha": sha, "seed": 1},
@@ -26,16 +26,24 @@ def _perfbench_stdout(setup_s: float, ops_per_s: float, *,
     metrics = {"setup_s": {"value": setup_s, "unit": "s"},
                "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
                "ok_frac": {"value": 1.0, "unit": "ratio"}}
-    result = {"correct": 10, "attempted": 10, "failed": 0,
+    result = {"correct": failed == 0, "attempted": 10, "failed": failed,
               "metrics": metrics}
     return "\n".join(["warming up", json.dumps(details), json.dumps(result),
                       ""])
 
 
-def _pairs(base: list[tuple[float, float]], head: list[tuple[float, float]]):
+def _pairs(base: list[tuple[float, float]], head: list[tuple[float, float]],
+           head_failed: int = 0):
     return [{"base": ab.parse_output(_perfbench_stdout(*b)),
-             "head": ab.parse_output(_perfbench_stdout(*h))}
+             "head": ab.parse_output(_perfbench_stdout(
+                 *h, failed=head_failed))}
             for b, h in zip(base, head)]
+
+
+_CLEAR_GAIN = ([(17.0, 100.0), (18.0, 101.0), (17.5, 99.0), (19.0, 100.0),
+                (17.2, 100.5)],
+               [(8.0, 100.5), (8.5, 100.0), (8.1, 99.5), (9.0, 101.0),
+                (7.9, 100.0)])
 
 
 def test_parse_output_reads_the_last_two_lines():
@@ -43,7 +51,7 @@ def test_parse_output_reads_the_last_two_lines():
     assert run["metrics"] == {"setup_s": 17.5, "ops_per_s": 120.0,
                               "ok_frac": 1.0}
     assert run["provenance"]["git_sha"] == "f00"
-    assert (run["correct"], run["attempted"], run["failed"]) == (10, 10, 0)
+    assert (run["correct"], run["attempted"], run["failed"]) == (True, 10, 0)
 
 
 def test_sides_alternate_base_first_on_even_pairs():
@@ -53,10 +61,7 @@ def test_sides_alternate_base_first_on_even_pairs():
 
 
 def test_median_iqr_wins_and_a_clear_gain():
-    base = [(17.0, 100.0), (18.0, 101.0), (17.5, 99.0), (19.0, 100.0),
-            (17.2, 100.5)]
-    head = [(8.0, 100.5), (8.5, 100.0), (8.1, 99.5), (9.0, 101.0),
-            (7.9, 100.0)]
+    base, head = (runs * 2 for runs in _CLEAR_GAIN)     # ten pairs
     report = ab.summarize(_pairs(base, head), _BENCHMARK)
     setup = report["setup_s"]
     assert setup["base"]["median"] == pytest.approx(17.5)
@@ -64,7 +69,7 @@ def test_median_iqr_wins_and_a_clear_gain():
     assert setup["base"]["q3"] == pytest.approx(18.0)
     assert setup["base"]["iqr"] == pytest.approx(0.8)
     assert setup["head"]["median"] == pytest.approx(8.1)
-    assert setup["wins"] == 5 and setup["pairs"] == 5
+    assert setup["wins"] == 10 and setup["pairs"] == 10
     assert setup["verdict"] == "better"
     assert setup["relative_change"] == pytest.approx(8.1 / 17.5 - 1)
     # Noise inside the bound is neither a gain nor a regression.
@@ -74,6 +79,32 @@ def test_median_iqr_wins_and_a_clear_gain():
     assert report["ok_frac"]["verdict"] == "same"
     # Metrics perfbench did not print are left out.
     assert set(report) == {"setup_s", "ops_per_s", "ok_frac"}
+
+
+def test_a_gain_over_fewer_than_ten_pairs_is_unresolved():
+    report = ab.summarize(_pairs(*_CLEAR_GAIN), _BENCHMARK)
+    assert report["setup_s"]["wins"] == 5
+    assert report["setup_s"]["verdict"] == "unresolved"
+
+
+def test_a_gain_with_more_failed_operations_is_unresolved():
+    base, head = (runs * 2 for runs in _CLEAR_GAIN)
+    report = ab.summarize(_pairs(base, head, head_failed=1), _BENCHMARK)
+    assert report["setup_s"]["wins"] == 10
+    assert report["setup_s"]["verdict"] == "unresolved"
+
+
+def test_a_head_that_edits_the_benchmark_is_refused(tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for tree in (base, head):
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps(_BENCHMARK))
+    assert ab.load_benchmark(base, head) == _BENCHMARK
+    loosened = json.loads(json.dumps(_BENCHMARK))
+    loosened["end_to_end"][0]["bound"] = 0.9
+    (head / "BENCHMARK.json").write_text(json.dumps(loosened))
+    with pytest.raises(ValueError, match="BENCHMARK.json"):
+        ab.load_benchmark(base, head)
 
 
 def test_a_regression_past_the_bound_is_worse():
