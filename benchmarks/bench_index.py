@@ -62,8 +62,10 @@ _GRAPH_PARAMS = {"nprobe": 4}
 #: corpus).  Build time stays bounded because both quantizer trainings
 #: (coarse k-means and the PQ codebooks) run on capped samples, never the
 #: full corpus.  The codebooks come from ``quant.py``'s own float32 Lloyd
-#: loop, so what remains of the build is the coarse ``KMeans``, assigning
-#: 1M rows to 1024 cells (``nearest_cells``) and encoding them.
+#: loop; assigning 1M rows to 1024 cells is one blocked ``argmin``
+#: (``nearest_cells``) and encoding them one whole-list pass, so the
+#: coarse ``KMeans``, the assignment and the encode now cost about the
+#: same.
 _IVFPQ_N = 1_000_000
 _IVFPQ_PARAMS = {"nlist": 1024, "nprobe": 32, "m": 16, "rerank": 256}
 

@@ -41,7 +41,12 @@ same Euclidean quantizers serve both metrics.
 
 Incremental :meth:`VectorIndex.add` assigns new vectors to their nearest
 existing cell — the streaming write path; the quantizers are only
-retrained by a fresh :meth:`VectorIndex.build`.
+retrained by a fresh :meth:`VectorIndex.build`.  Build, add and the
+upgrade of older layouts share whole-list passes: one blocked ``argmin``
+assignment (:func:`nearest_cells`, the lowest cell wins an exact tie),
+one encode of the cell-ordered residuals and one gather of per-cell term
+tables.  A row's cell, code and term depend only on the row and the
+trained quantizers, so all three paths store the same bytes for it.
 
 The inverted lists are the index's only corpus store, in one layout
 however the index came to be: row-aligned arrays in cell order (also the
@@ -75,9 +80,10 @@ from .storage import MappedSubset
 
 __all__ = ["IVFIndex", "IVFPQIndex"]
 
-#: Row block for coarse-quantizer assignment: bounds the ``(rows, nlist)``
-#: distance temporary regardless of corpus size (the 1M-vector builds).
-_ASSIGN_BLOCK = 16384
+#: Row block for coarse-quantizer assignment and list encoding: keeps the
+#: ``(rows, nlist)`` distance block near cache size (8 MB at nlist 1024)
+#: regardless of corpus size; 16384 rows ran the 1M assignment 2x slower.
+_ASSIGN_BLOCK = 2048
 
 #: Quantizer k-means training sample: ``max(_TRAIN_MIN, _TRAIN_PER_LIST *
 #: nlist)`` rows, capped at n — centroid quality needs O(points-per-list)
@@ -114,11 +120,18 @@ def nearest_cells(Q: np.ndarray, centroids: np.ndarray,
     Assignment at build time and probe selection at query time are the
     same computation, blocked over query rows so a million-row corpus
     never materialises an ``(n, nlist)`` distance matrix at once.
+    ``k = 1`` (every assignment) is an ``argmin``: a row at exactly the
+    same distance from several centroids goes to the lowest-numbered
+    one.  For ``k > 1`` the cells come nearest first, and the order
+    among exactly tied cells is not specified.
     """
     out = np.empty((Q.shape[0], min(k, centroids.shape[0])), dtype=np.int64)
     for start in range(0, Q.shape[0], _ASSIGN_BLOCK):
         stop = min(start + _ASSIGN_BLOCK, Q.shape[0])
         d2 = squared_euclidean_distances(Q[start:stop], centroids)
+        if k == 1:
+            out[start:stop, 0] = np.argmin(d2, axis=1)
+            continue
         if k >= d2.shape[1]:
             out[start:stop] = np.argsort(d2, axis=1, kind="stable")
             continue
@@ -269,26 +282,26 @@ class IVFIndex(VectorIndex):
                   codes: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """List members for the cell-ordered rows ``vecs`` of ``cells``.
 
-        Codes (unless given) and scan terms are computed one cell at a
-        time, so a cell's rows get the same arithmetic whether they
-        arrive by build, add or upgrade.
+        Whole-list passes: codes (unless given) from one encode of the
+        residuals, formed ``_ASSIGN_BLOCK`` rows at a time so a build
+        never holds a second copy of the list; terms from one row-wise
+        sum (uncoded) or the quantizer's ``list_terms``.  A row's code
+        and term depend on the row and its cell's centroid alone, so
+        they are the same whether it arrives by build, add or upgrade.
         """
-        cuts = (np.flatnonzero(np.diff(cells)) + 1).tolist()
-        blocks = [(cells[a], slice(a, b))
-                  for a, b in zip([0, *cuts], [*cuts, vecs.shape[0]])]
         quantizer = self.quantizer_
         if quantizer is None:
-            return {"list_vecs": vecs, "list_terms": np.concatenate(
-                [np.sum(vecs[rows] ** 2, axis=1) for _, rows in blocks])}
+            return {"list_vecs": vecs,
+                    "list_terms": np.sum(vecs ** 2, axis=1)}
         if codes is None:
-            codes = np.concatenate(
-                [quantizer.encode(vecs[rows] - self.centroids_[cell])
-                 for cell, rows in blocks])
+            codes = np.concatenate([
+                quantizer.encode(vecs[start:start + _ASSIGN_BLOCK]
+                                 - self.centroids_[
+                                     cells[start:start + _ASSIGN_BLOCK]])
+                for start in range(0, vecs.shape[0], _ASSIGN_BLOCK)])
         return {"list_vecs": vecs, "list_codes": codes,
-                "list_terms": np.concatenate(
-                    [quantizer.residual_terms(self.centroids_[cell],
-                                              codes[rows])
-                     for cell, rows in blocks])}
+                "list_terms": quantizer.list_terms(self.centroids_, cells,
+                                                   codes)}
 
     # ------------------------------------------------------------------
     # build / add

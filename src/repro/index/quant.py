@@ -13,7 +13,11 @@ query has to touch so the hot set stays in fast memory:
   codebook, trained on a bounded sample by this module's own float32
   Lloyd loop (:func:`_lloyd`: one GEMM and one ``bincount`` update per
   pass; the paper path's :class:`repro.clustering.KMeans` stays float64
-  and untouched).  One byte per sub-space —
+  and untouched).  Training and :meth:`ProductQuantizer.encode` share
+  one nearest-codeword pass (:func:`_nearest`: cache-sized row blocks,
+  each a GEMM against ``-2 * codebook.T`` plus ``||c||^2``, then
+  ``argmin``), so every row is encoded on its own and any split of the
+  rows gives the same codes.  One byte per sub-space —
   ``m`` bytes per vector regardless of ``d`` — and distances are
   computed *asymmetrically*: the query stays float, only the corpus is
   compressed: one ``(m, 256)`` inner-product table per query row, then
@@ -21,7 +25,9 @@ query has to touch so the hot set stays in fast memory:
 
 Both score codes for :mod:`repro.index.ivf`'s IVFADC split through
 ``inner_products`` (``<q, r>`` for ``r = decode(code)``) and
-``residual_terms`` (``||r||^2 + 2<c, r>``).
+``residual_terms`` (``||r||^2 + 2<c, r>``); ``list_terms`` gives the
+latter for a whole cell-ordered list at once, byte-identical to one
+``residual_terms`` call per cell.
 
 Both quantizers are deterministic given their seed/training data and
 round-trip their state through plain arrays (``state_arrays`` /
@@ -35,7 +41,6 @@ import numpy as np
 
 from ..config import make_rng
 from ..exceptions import ConfigurationError, VectorIndexError
-from ..utils.metrics_dispatch import squared_euclidean_distances
 from ..utils.validation import check_matrix
 from .base import INDEX_DTYPE
 
@@ -44,15 +49,47 @@ __all__ = ["ScalarQuantizer", "ProductQuantizer"]
 #: Codes per dimension/sub-space: one byte.
 _N_CODES = 256
 
-#: Rows PQ encoding processes per block: bounds the ``(rows, 256)``
-#: distance temporary while encoding million-row corpora.
-_ENCODE_BLOCK = 65536
+#: Rows per block of a nearest-codeword pass: the ``(rows, 256)`` float32
+#: score block (1 MB) stays in cache, however many rows are encoded.
+_ENCODE_BLOCK = 1024
 
 #: Lloyd iterations per sub-space codebook (matches the IVF coarse
 #: quantizer's budget: codebooks converge fast on low-dim sub-vectors).
 _TRAIN_ITER = 12
 #: Lloyd stops early once the centres move less than this (Frobenius).
 _TRAIN_TOL = 1e-6
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """``_ENCODE_BLOCK``-row slices covering ``range(n)``."""
+    return [slice(start, start + _ENCODE_BLOCK)
+            for start in range(0, n, _ENCODE_BLOCK)]
+
+
+def _nearest(X: np.ndarray, centers: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest of ``centers`` to each row of ``X``, and its score.
+
+    The score is ``||c||^2 - 2<x, c>``: ``||x||^2`` is the same for every
+    centre, so it is left out of the ranking.  ``-2 * centers.T`` and
+    ``||c||^2`` are formed once; each block of ``_ENCODE_BLOCK`` rows is
+    one float32 GEMM, one add and one ``argmin`` (the lowest index wins
+    an exact tie).  Rows never mix, so the labels of any row subset are
+    the labels of the whole.
+    """
+    neg2_t = -2.0 * centers.T
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    labels = np.empty(X.shape[0], dtype=np.intp)
+    best = np.empty(X.shape[0], dtype=X.dtype)
+    # Flat offset of each block row's first score.
+    firsts = np.arange(_ENCODE_BLOCK) * centers.shape[0]
+    for rows in _row_blocks(X.shape[0]):
+        scores = X[rows] @ neg2_t
+        scores += c_sq
+        labels[rows] = np.argmin(scores, axis=1)
+        best[rows] = scores.reshape(-1).take(
+            firsts[:scores.shape[0]] + labels[rows])
+    return labels, best
 
 
 def _lloyd(X: np.ndarray, k: int, seed: int | None) -> np.ndarray:
@@ -62,9 +99,9 @@ def _lloyd(X: np.ndarray, k: int, seed: int | None) -> np.ndarray:
     ``make_rng(seed)``; each of at most ``_TRAIN_ITER`` passes assigns
     every row to its nearest centre and moves each centre to the mean of
     its rows, stopping when no label changes or the centres move at most
-    ``_TRAIN_TOL``.  A pass is one float32 GEMM and one ``argmin``:
-    ``||x||^2`` is the same for every centre, so it is left out of the
-    ranking and added back only to find far rows.  Means come from
+    ``_TRAIN_TOL``.  A pass is one :func:`_nearest`, the float32 GEMM and
+    ``argmin`` that also encodes rows; its scores leave out ``||x||^2``,
+    which is added back only to find far rows.  Means come from
     ``bincount`` sums (float64 accumulators), one pass over the rows per
     column.  The clusters left empty by a pass restart at that many
     distinct rows, the farthest from their centres first.
@@ -74,9 +111,7 @@ def _lloyd(X: np.ndarray, k: int, seed: int | None) -> np.ndarray:
     x_sq = np.einsum("ij,ij->i", X, X)
     labels = np.full(n, -1, dtype=np.intp)
     for _ in range(_TRAIN_ITER):
-        scores = X @ (-2.0 * centers.T)
-        scores += np.einsum("ij,ij->i", centers, centers)
-        new_labels = np.argmin(scores, axis=1)
+        new_labels, best = _nearest(X, centers)
         counts = np.bincount(new_labels, minlength=k)
         sums = np.stack([np.bincount(new_labels, weights=X[:, c],
                                      minlength=k) for c in range(ds)],
@@ -86,7 +121,7 @@ def _lloyd(X: np.ndarray, k: int, seed: int | None) -> np.ndarray:
         new_centers[filled] = sums[filled] / counts[filled, None]
         empty = np.flatnonzero(~filled)
         if empty.size:
-            far = x_sq + scores[np.arange(n), new_labels]
+            far = x_sq + best
             rows = np.argsort(-far, kind="stable")[:empty.size]
             new_centers[empty] = X[rows]
         shift = float(np.linalg.norm(new_centers - centers))
@@ -168,6 +203,16 @@ class ScalarQuantizer:
         """``||r||^2 + 2<c, r>`` per code row, ``r = decode(code)``."""
         r = self.decode(codes)
         return np.sum(r * (r + 2.0 * c), axis=1)
+
+    def list_terms(self, centroids: np.ndarray, cells: np.ndarray,
+                   codes: np.ndarray) -> np.ndarray:
+        """:meth:`residual_terms` of each row against ``centroids[cells]``.
+
+        Row blocks keep the decoded and centroid temporaries small.
+        """
+        return np.concatenate([
+            self.residual_terms(centroids[cells[rows]], codes[rows])
+            for rows in _row_blocks(codes.shape[0])])
 
     # persistence -------------------------------------------------------
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -253,14 +298,10 @@ class ProductQuantizer:
             raise VectorIndexError(
                 f"encode input has {X.shape[1]} dims; quantizer was "
                 f"trained for {self.dim}")
+        parts = self._split(X)
         codes = np.empty((X.shape[0], self.m), dtype=np.uint8)
-        for start in range(0, X.shape[0], _ENCODE_BLOCK):
-            stop = min(start + _ENCODE_BLOCK, X.shape[0])
-            parts = self._split(X[start:stop])
-            for j in range(self.m):
-                d2 = squared_euclidean_distances(parts[:, j, :],
-                                                 self.codebooks_[j])
-                codes[start:stop, j] = np.argmin(d2, axis=1).astype(np.uint8)
+        for j in range(self.m):
+            codes[:, j] = _nearest(parts[:, j, :], self.codebooks_[j])[0]
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
@@ -279,13 +320,35 @@ class ProductQuantizer:
         table = np.matmul(self.codebooks_, q.reshape(self.m, -1, 1))
         return self._table_sum(table[:, :, 0], codes)
 
-    def residual_terms(self, c: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """``||r||^2 + 2<c, r>`` per code row, ``r = decode(code)``."""
+    def _residual_table(self, c: np.ndarray) -> np.ndarray:
+        """``||r||^2 + 2<c, r>`` for every codeword: one ``(m, 256)`` table."""
         cb = self.codebooks_
         # A matvec sums the short sub-vector axis far faster than np.sum.
-        table = (cb * cb) @ np.ones(cb.shape[2], dtype=cb.dtype) \
+        return (cb * cb) @ np.ones(cb.shape[2], dtype=cb.dtype) \
             + 2.0 * np.matmul(cb, c.reshape(self.m, -1, 1))[:, :, 0]
-        return self._table_sum(table, codes)
+
+    def residual_terms(self, c: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """``||r||^2 + 2<c, r>`` per code row, ``r = decode(code)``."""
+        return self._table_sum(self._residual_table(c), codes)
+
+    def list_terms(self, centroids: np.ndarray, cells: np.ndarray,
+                   codes: np.ndarray) -> np.ndarray:
+        """:meth:`residual_terms` of each row against ``centroids[cells]``.
+
+        One table per distinct cell, then one gather per sub-space over
+        the stacked tables, summed in :meth:`_table_sum`'s order, so the
+        terms are byte-identical to a per-cell ``residual_terms``.
+        """
+        used, which = np.unique(cells, return_inverse=True)
+        tables = np.stack([self._residual_table(centroids[cell])
+                           for cell in used])
+        n_codes = tables.shape[2]
+        tables = tables.reshape(-1)
+        base = which.reshape(-1) * (self.m * n_codes)
+        terms = tables.take(base + codes[:, 0])
+        for j in range(1, self.m):
+            terms += tables.take(base + j * n_codes + codes[:, j])
+        return terms
 
     def _table_sum(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """``sum_j table[j, codes[:, j]]``: ``m`` table reads per code."""

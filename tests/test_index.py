@@ -31,6 +31,7 @@ from repro.index import (
     VectorIndex,
     create_index,
 )
+from repro.index.ivf import nearest_cells
 from repro.nn import CSRMatrix
 from repro.serialize import (
     load_checkpoint,
@@ -197,6 +198,33 @@ class TestExactness:
         approx, _ = create_index(backend, metric=metric).build(X).query(Q, 10)
         hits = sum(len(set(a) & set(t)) for a, t in zip(approx, truth))
         assert hits / truth.size >= 0.95, (backend, metric, hits / truth.size)
+
+    def test_exact_ties_go_to_the_lowest_cell(self):
+        """``k = 1`` puts a row equidistant from several cells in the lowest.
+
+        Binary rows against binary centroids make every squared distance
+        an exactly representable integer, so ties are exact and common.
+        """
+        rng = np.random.default_rng(0)
+        bits = np.arange(8)
+        C = (rng.permutation(256)[:64, None] >> bits & 1).astype(np.float32)
+        Q = rng.integers(0, 2, size=(20_000, 8)).astype(np.float32)
+
+        def lowest_tied(centroids):
+            d2 = ((Q[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+            tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+            return np.argmin(d2, axis=1), int(tied.sum())
+
+        expected, n_tied = lowest_tied(C)
+        assert n_tied > 10_000
+        assert np.array_equal(nearest_cells(Q, C, 1)[:, 0], expected)
+        # One cell per distinct centroid row: the cells are C, reordered.
+        index = IVFIndex(metric="euclidean", nlist=64, coding="none").build(C)
+        assert np.array_equal(np.unique(index.centroids_, axis=0),
+                              np.unique(C, axis=0))
+        index.add(Q)
+        expected, _ = lowest_tied(index.centroids_)
+        assert np.array_equal(index.assignments_[64:], expected)
 
     @pytest.mark.parametrize("make", ALL_BACKENDS, ids=BACKEND_IDS)
     def test_query_is_deterministic(self, make):

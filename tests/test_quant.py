@@ -31,6 +31,7 @@ from repro.index import (
     ScalarQuantizer,
     VectorIndex,
 )
+from repro.index.quant import _ENCODE_BLOCK
 from repro.serialize import read_checkpoint_header, rotate_checkpoint
 from repro.utils.metrics_dispatch import squared_euclidean_distances
 
@@ -118,6 +119,31 @@ class TestProductQuantizer:
         assert a.codebooks_.tobytes() == b.codebooks_.tobytes()
         assert np.array_equal(a.encode(X), b.encode(X))
 
+    def test_encode_is_row_independent_and_nearest(self):
+        """Rows encode alone, each to its float64 nearest codeword.
+
+        The input spans two row blocks plus a remainder, and the slices
+        cut across block boundaries, so build, add and upgrade (which
+        encode different row ranges) agree.  Near-ties, where float32
+        rounding may pick either codeword, are left out of the
+        brute-force check.
+        """
+        n = 2 * _ENCODE_BLOCK + 123
+        X, _ = clustered(n, dim=16, seed=11)
+        quantizer = ProductQuantizer(4, seed=2).train(X[:3000])
+        codes = quantizer.encode(X)
+        cuts = [0, 1, _ENCODE_BLOCK - 7, _ENCODE_BLOCK + 500, n - 2, n]
+        assert codes.tobytes() == np.concatenate(
+            [quantizer.encode(X[a:b]) for a, b in zip(cuts, cuts[1:])]
+        ).tobytes()
+        parts = X.astype(np.float32).astype(np.float64).reshape(n, 4, 1, 4)
+        d2 = np.sum((parts - quantizer.codebooks_.astype(np.float64)) ** 2,
+                    axis=3)
+        best, second = np.sort(d2, axis=2)[:, :, :2].transpose(2, 0, 1)
+        clear = second - best > 1e-4 * second
+        assert clear.mean() > 0.99
+        assert np.array_equal(codes[clear], np.argmin(d2, axis=2)[clear])
+
     def test_state_arrays_round_trip(self):
         X, _ = clustered(200, dim=8)
         quantizer = ProductQuantizer(4, seed=1).train(X)
@@ -171,8 +197,12 @@ class TestProductQuantizer:
 class TestCodedScoring:
     @pytest.mark.parametrize("coding", ["pq", "sq"])
     def test_split_equals_distance_to_reconstruction(self, coding):
-        """||q-c||^2 + (||r||^2 + 2<c,r>) - 2<q,r> is ||q - (c + r)||^2."""
-        X, _ = clustered(400, dim=16, seed=2)
+        """||q-c||^2 + (||r||^2 + 2<c,r>) - 2<q,r> is ||q - (c + r)||^2.
+
+        The stored terms, computed over the whole list in row blocks, are
+        byte-identical to each cell's own ``residual_terms``.
+        """
+        X, _ = clustered(2500, dim=16, seed=2)
         index = IVFIndex(metric="euclidean", nlist=4, m=4,
                          coding=coding).build(X)
         quantizer = index.quantizer_
@@ -181,8 +211,8 @@ class TestCodedScoring:
         for cell, span in enumerate(index._spans(range(4))):
             c = index.centroids_[cell]
             r = quantizer.decode(codes[span])
-            assert np.array_equal(terms[span],
-                                  quantizer.residual_terms(c, codes[span]))
+            assert terms[span].tobytes() == quantizer.residual_terms(
+                c, codes[span]).tobytes()
             assert np.allclose(quantizer.inner_products(Q[0], codes[span]),
                                r @ Q[0], atol=1e-3)
             direct = squared_euclidean_distances(Q, c + r)
@@ -392,9 +422,10 @@ class TestMappedCheckpoints:
             else:
                 c = index.centroids_[cell]
                 codes = lists["list_codes"][span]
-                assert np.array_equal(codes, quantizer.encode(vecs[span] - c))
+                assert codes.tobytes() == quantizer.encode(
+                    vecs[span] - c).tobytes()
                 terms = quantizer.residual_terms(c, codes)
-            assert np.array_equal(lists["list_terms"][span], terms)
+            assert lists["list_terms"][span].tobytes() == terms.tobytes()
         index.save(tmp_path / "grown.npz")
         copy = VectorIndex.load(tmp_path / "grown.npz")
         assert copy.attached
