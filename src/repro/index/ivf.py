@@ -42,11 +42,8 @@ same Euclidean quantizers serve both metrics.
 Incremental :meth:`VectorIndex.add` assigns new vectors to their nearest
 existing cell — the streaming write path; the quantizers are only
 retrained by a fresh :meth:`VectorIndex.build`.  Build, add and the
-upgrade of older layouts share whole-list passes: one blocked ``argmin``
-assignment (:func:`nearest_cells`, the lowest cell wins an exact tie),
-one encode of the cell-ordered residuals and one gather of per-cell term
-tables.  A row's cell, code and term depend only on the row and the
-trained quantizers, so all three paths store the same bytes for it.
+upgrade of older layouts fill the lists in whole-list passes, in which a
+row's cell, code and term depend on that row alone.
 
 The inverted lists are the index's only corpus store, in one layout
 however the index came to be: row-aligned arrays in cell order (also the

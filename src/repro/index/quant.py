@@ -14,10 +14,7 @@ query has to touch so the hot set stays in fast memory:
   Lloyd loop (:func:`_lloyd`: one GEMM and one ``bincount`` update per
   pass; the paper path's :class:`repro.clustering.KMeans` stays float64
   and untouched).  Training and :meth:`ProductQuantizer.encode` share
-  one nearest-codeword pass (:func:`_nearest`: cache-sized row blocks,
-  each a GEMM against ``-2 * codebook.T`` plus ``||c||^2``, then
-  ``argmin``), so every row is encoded on its own and any split of the
-  rows gives the same codes.  One byte per sub-space —
+  one nearest-codeword pass (:func:`_nearest`).  One byte per sub-space —
   ``m`` bytes per vector regardless of ``d`` — and distances are
   computed *asymmetrically*: the query stays float, only the corpus is
   compressed: one ``(m, 256)`` inner-product table per query row, then
@@ -25,9 +22,8 @@ query has to touch so the hot set stays in fast memory:
 
 Both score codes for :mod:`repro.index.ivf`'s IVFADC split through
 ``inner_products`` (``<q, r>`` for ``r = decode(code)``) and
-``residual_terms`` (``||r||^2 + 2<c, r>``); ``list_terms`` gives the
-latter for a whole cell-ordered list at once, byte-identical to one
-``residual_terms`` call per cell.
+``residual_terms`` (``||r||^2 + 2<c, r>``; ``list_terms`` for a whole
+cell-ordered list).
 
 Both quantizers are deterministic given their seed/training data and
 round-trip their state through plain arrays (``state_arrays`` /
@@ -71,11 +67,10 @@ def _nearest(X: np.ndarray, centers: np.ndarray
     """Nearest of ``centers`` to each row of ``X``, and its score.
 
     The score is ``||c||^2 - 2<x, c>``: ``||x||^2`` is the same for every
-    centre, so it is left out of the ranking.  ``-2 * centers.T`` and
-    ``||c||^2`` are formed once; each block of ``_ENCODE_BLOCK`` rows is
-    one float32 GEMM, one add and one ``argmin`` (the lowest index wins
-    an exact tie).  Rows never mix, so the labels of any row subset are
-    the labels of the whole.
+    centre, so it is left out of the ranking.  Each block of
+    ``_ENCODE_BLOCK`` rows is one float32 GEMM against ``-2 * centers.T``,
+    one add and one ``argmin``.  Rows never mix, so any split of the rows
+    gives the same labels.
     """
     neg2_t = -2.0 * centers.T
     c_sq = np.einsum("ij,ij->i", centers, centers)
