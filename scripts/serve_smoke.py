@@ -9,8 +9,9 @@ the server — including on assertion failure or timeout, so CI never leaks
 an orphaned process holding the job open.
 
 Both serving shapes are exercised: the single-process server (predict,
-search, ``/metrics``) and the ``--workers 2`` sharded pool behind its
-router (predict, aggregated ``/metrics``).  In each, the Prometheus text
+two searches with different ``k`` and tunables that must share the
+index's one micro-batcher, ``/metrics``) and the ``--workers 2`` sharded
+pool behind its router (predict, aggregated ``/metrics``).  In each, the Prometheus text
 is validated line by line and the predict counter is asserted to have
 actually incremented.  Each shape also runs an async job end to end
 (``POST /v1/jobs`` -> poll -> ``result?format=csv`` -> dedup resubmit)
@@ -248,6 +249,24 @@ def main(argv: list[str] | None = None) -> int:
         distances = body["distances"][0]
         assert distances == sorted(distances), body
         print(f"search ok: {body}")
+
+        # Another k and a tunable join the index's one batcher as a
+        # request key; they start no batcher of their own.
+        status, body = _post_json(
+            f"{base}/v1/search",
+            {"items": [{"headers": ["name", "country"]}], "k": 5,
+             "nprobe": 2})
+        assert status == 200, body
+        assert len(body["ids"][0]) == 5, body
+        assert body["tunables"] == {"nprobe": 2}, body
+        status, stats = _get_json(f"{base}/v1/stats")
+        assert status == 200, stats
+        index_batchers = {name: counters
+                          for name, counters in stats["batchers"].items()
+                          if name.startswith("webtables.index")}
+        assert list(index_batchers) == ["webtables.index"], stats
+        assert index_batchers["webtables.index"]["requests"] == 2, stats
+        print(f"one index batcher ok: {index_batchers}")
         _check_metrics(base, "single server")
         _check_deprecation(base, "single server")
         _check_jobs(base, "single server", deadline)

@@ -276,11 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="micro-batch row cap per forward pass "
                                 "(default: 256)")
     serve_cmd.add_argument("--batch-delay-ms", type=float, default=2.0,
-                           help="micro-batch linger in milliseconds "
-                                "(default: 2.0)")
-    serve_cmd.add_argument("--no-batching", action="store_true",
-                           help="disable micro-batching (one forward pass "
-                                "per request)")
+                           help="micro-batch linger in milliseconds; 0 "
+                                "never lingers (default: 2.0)")
     serve_cmd.add_argument("--reload-ms", type=float, default=1000.0,
                            help="poll interval for hot-reloading rotated "
                                 "checkpoints, in milliseconds "
@@ -756,7 +753,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers, max_inflight=args.max_inflight,
             max_loaded=args.max_loaded, max_batch_rows=args.batch_rows,
             max_delay=args.batch_delay_ms / 1000.0,
-            micro_batching=not args.no_batching,
             reload_interval=reload_interval,
             wal_dir=args.wal_dir, **job_options)
         names = servable_names(args.model_dir)
@@ -765,7 +761,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.model_dir, host=args.host, port=args.port,
             max_loaded=args.max_loaded, max_batch_rows=args.batch_rows,
             max_delay=args.batch_delay_ms / 1000.0,
-            micro_batching=not args.no_batching,
             reload_interval=reload_interval,
             wal_dir=args.wal_dir, **job_options)
         names = server.service.registry.names()
@@ -773,7 +768,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving {len(names)} model(s) {names} from {args.model_dir} "
           f"on http://{host}:{port} "
           f"({args.workers} worker(s), "
-          f"micro-batching {'off' if args.no_batching else 'on'}, "
           f"hot-reload {'off' if args.no_hot_reload else 'on'}, "
           f"jobs {'off' if args.no_jobs else 'on'})",
           file=sys.stderr)

@@ -70,9 +70,9 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..exceptions import ConfigurationError, VectorIndexError
-from ..utils.metrics_dispatch import squared_euclidean_distances
+from ..utils.metrics_dispatch import squared_euclidean_distances, unit_rows
 from .base import INDEX_DTYPE, VectorIndex
-from .quant import ProductQuantizer, ScalarQuantizer
+from .quant import ProductQuantizer, ScalarQuantizer, _row_blocks
 from .storage import MappedSubset
 
 __all__ = ["IVFIndex", "IVFPQIndex"]
@@ -108,6 +108,13 @@ _LISTS = ("list_vecs", "list_codes", "list_terms")
 #: Member names of one cell's payload in the per-cell layout written
 #: before the lists were flat (read by the upgrade only).
 _CELL_MEMBER = "cell.%06d.%s"
+
+
+def _unit_rows_in_place(X: np.ndarray) -> np.ndarray:
+    """``unit_rows(X)`` written over ``X`` one row block at a time."""
+    for rows in _row_blocks(X.shape[0], _ASSIGN_BLOCK):
+        X[rows] = unit_rows(X[rows])
+    return X
 
 
 def nearest_cells(Q: np.ndarray, centroids: np.ndarray,
@@ -280,22 +287,22 @@ class IVFIndex(VectorIndex):
         """List members for the cell-ordered rows ``vecs`` of ``cells``.
 
         Whole-list passes: codes (unless given) from one encode of the
-        residuals, formed ``_ASSIGN_BLOCK`` rows at a time so a build
-        never holds a second copy of the list; terms from one row-wise
-        sum (uncoded) or the quantizer's ``list_terms``.  A row's code
-        and term depend on the row and its cell's centroid alone, so
-        they are the same whether it arrives by build, add or upgrade.
+        residuals, and uncoded terms from row-wise sums of squares, both
+        formed ``_ASSIGN_BLOCK`` rows at a time so a build never holds a
+        second copy of the list; coded terms from the quantizer's
+        ``list_terms``.  A row's code and term depend on the row and its
+        cell's centroid alone, so they are the same whether it arrives
+        by build, add or upgrade.
         """
         quantizer = self.quantizer_
+        blocks = _row_blocks(vecs.shape[0], _ASSIGN_BLOCK)
         if quantizer is None:
-            return {"list_vecs": vecs,
-                    "list_terms": np.sum(vecs ** 2, axis=1)}
+            return {"list_vecs": vecs, "list_terms": np.concatenate(
+                [np.sum(vecs[rows] ** 2, axis=1) for rows in blocks])}
         if codes is None:
             codes = np.concatenate([
-                quantizer.encode(vecs[start:start + _ASSIGN_BLOCK]
-                                 - self.centroids_[
-                                     cells[start:start + _ASSIGN_BLOCK]])
-                for start in range(0, vecs.shape[0], _ASSIGN_BLOCK)])
+                quantizer.encode(vecs[rows] - self.centroids_[cells[rows]])
+                for rows in blocks])
         return {"list_vecs": vecs, "list_codes": codes,
                 "list_terms": quantizer.list_terms(self.centroids_, cells,
                                                    codes)}
@@ -322,28 +329,35 @@ class IVFIndex(VectorIndex):
     def _rebuild(self, X: np.ndarray) -> None:
         from ..clustering import KMeans
 
-        X = self._as_search(X)
-        n, d = X.shape
+        # The search-space rows train and assign; for cosine they are a
+        # copy normalised block by block, dropped before the cell-ordered
+        # gather is normalised in place, so a build holds one corpus copy.
+        cosine = self.metric == "cosine"
+        search = _unit_rows_in_place(X.copy()) if cosine else X
+        n, d = search.shape
         nlist = self._effective_nlist(n)
         sample = self._train_sample(
-            X, max(_TRAIN_MIN, _TRAIN_PER_LIST * nlist))
+            search, max(_TRAIN_MIN, _TRAIN_PER_LIST * nlist))
         quantizer = KMeans(nlist, n_init=1, max_iter=_TRAIN_ITER,
                            seed=self.seed, init="random")
         quantizer.fit(sample)
         self.centroids_ = np.asarray(quantizer.cluster_centers_,
                                      dtype=INDEX_DTYPE)
-        self.assignments_ = nearest_cells(X, self.centroids_, 1)[:, 0]
+        self.assignments_ = nearest_cells(search, self.centroids_, 1)[:, 0]
         self._derive_layout()
         self.quantizer_ = None
         if self.coding == "pq":
             self.quantizer_ = ProductQuantizer(
                 self._effective_m(d), seed=self.seed).train(
-                    self._residual_sample(X))
+                    self._residual_sample(search))
         elif self.coding == "sq":
             self.quantizer_ = ScalarQuantizer().train(
-                self._residual_sample(X))
-        self._lists = self._lists_of(X[self._order],
-                                     self.assignments_[self._order])
+                self._residual_sample(search))
+        del search, sample
+        vecs = X[self._order]
+        if cosine:
+            _unit_rows_in_place(vecs)
+        self._lists = self._lists_of(vecs, self.assignments_[self._order])
 
     def _append(self, X: np.ndarray) -> None:
         fresh = self._as_search(X)

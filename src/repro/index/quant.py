@@ -56,10 +56,9 @@ _TRAIN_ITER = 12
 _TRAIN_TOL = 1e-6
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """``_ENCODE_BLOCK``-row slices covering ``range(n)``."""
-    return [slice(start, start + _ENCODE_BLOCK)
-            for start in range(0, n, _ENCODE_BLOCK)]
+def _row_blocks(n: int, size: int = _ENCODE_BLOCK) -> list[slice]:
+    """``size``-row slices covering ``range(n)``."""
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def _nearest(X: np.ndarray, centers: np.ndarray

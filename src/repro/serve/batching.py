@@ -4,9 +4,12 @@ Single-row predictions are overhead-dominated — the fixed cost of a forward
 pass (python dispatch, distance-matrix setup, encoder layers) dwarfs the
 per-row cost.  :class:`MicroBatcher` exploits that: concurrent callers hand
 their rows to a collector thread which lingers for at most ``max_delay``
-seconds (bounded latency), stacks everything that arrived into one matrix
-(bounded by ``max_batch_rows``), runs the model's ``predict`` once, and
-hands each caller its slice of the result.
+seconds (bounded latency), takes what arrived (bounded by
+``max_batch_rows``), stacks the rows of each request key into one matrix,
+runs the model's ``predict`` once per key, and hands each caller its
+slice of the result.  A key holds the per-request arguments stacked rows
+must share (a vector index's ``k`` and tunables), so one batcher serves
+every request a loaded model or index answers.
 
 The same pattern drives throughput-first model serving systems; here it is
 implemented with nothing but :mod:`threading` so the stdlib HTTP server's
@@ -53,11 +56,12 @@ class BatchStats:
 class _Pending:
     """One caller's rows plus the rendezvous for its slice of the result."""
 
-    __slots__ = ("rows", "event", "result", "error", "enqueued",
+    __slots__ = ("rows", "key", "event", "result", "error", "enqueued",
                  "batch_started", "batch_done")
 
-    def __init__(self, rows: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, key: tuple) -> None:
         self.rows = rows
+        self.key = key
         self.event = threading.Event()
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
@@ -75,9 +79,10 @@ class MicroBatcher:
     Parameters
     ----------
     predict_fn:
-        Callable mapping an ``(n, d)`` matrix to ``n`` per-row outputs
-        (e.g. a fitted model's ``predict``).  Called from the collector
-        thread, one invocation per coalesced batch.
+        Callable mapping an ``(n, d)`` matrix, followed by the fields of
+        its requests' key, to ``n`` per-row outputs (e.g. a fitted
+        model's ``predict``, whose requests all use the empty key).
+        Called from the collector thread, once per key in each tick.
     max_batch_rows:
         Upper bound on the rows stacked into one forward pass.
     max_delay:
@@ -88,7 +93,7 @@ class MicroBatcher:
         name).
     """
 
-    def __init__(self, predict_fn: Callable[[np.ndarray], np.ndarray], *,
+    def __init__(self, predict_fn: Callable[..., np.ndarray], *,
                  max_batch_rows: int = 256, max_delay: float = 0.002,
                  name: str | None = None) -> None:
         if max_batch_rows < 1:
@@ -124,16 +129,17 @@ class MicroBatcher:
         self._thread.start()
 
     # ------------------------------------------------------------------
-    def submit(self, rows) -> np.ndarray:
+    def submit(self, rows, key: tuple = ()) -> np.ndarray:
         """Block until ``rows`` (``(k, d)`` or ``(d,)``) are predicted.
 
-        Thread-safe; concurrent callers are coalesced.  When a coalesced
-        batch fails, each caller's rows are re-run alone, so an exception
-        raised by ``predict_fn`` reaches only the callers whose own rows
-        raise it.
+        Thread-safe; concurrent callers with equal ``key`` (a hashable
+        tuple) are coalesced into one ``predict_fn(rows, *key)`` call.
+        When a coalesced batch fails, each caller's rows are re-run alone,
+        so an exception raised by ``predict_fn`` reaches only the callers
+        whose own rows (or key) raise it.
         """
         matrix = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        item = _Pending(matrix)
+        item = _Pending(matrix, key)
         with self._cond:
             if self._closed:
                 raise ServingError("MicroBatcher is closed")
@@ -201,7 +207,13 @@ class MicroBatcher:
                         break
                     batch.append(self._pending.popleft())
                     taken += rows
-            self._run_batch(batch)
+            # Only rows with the same key share a forward; the groups run
+            # in order of their first arrival.
+            groups: dict[tuple, list[_Pending]] = {}
+            for item in batch:
+                groups.setdefault(item.key, []).append(item)
+            for group in groups.values():
+                self._run_batch(group)
 
     def _run_batch(self, batch: list[_Pending]) -> None:
         started = time.perf_counter()
@@ -212,7 +224,7 @@ class MicroBatcher:
             # wait on their events with no timeout.
             stacked = (batch[0].rows if len(batch) == 1
                        else np.vstack([item.rows for item in batch]))
-            output = np.asarray(self._predict_fn(stacked))
+            output = np.asarray(self._predict_fn(stacked, *batch[0].key))
             if output.shape[0] != stacked.shape[0]:
                 raise ServingError(
                     f"predict_fn returned {output.shape[0]} outputs for "

@@ -447,7 +447,6 @@ class _Handler(BaseHandler):
 def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                   port: int = 8000, max_loaded: int = 4,
                   max_batch_rows: int = 256, max_delay: float = 0.002,
-                  micro_batching: bool = True,
                   reload_interval: float | None = None,
                   wal_dir: str | Path | None = None,
                   identity: dict | None = None,
@@ -490,9 +489,7 @@ def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",
         recover_model_dir(model_dir, wal_dir)
     registry = ModelRegistry(model_dir, max_loaded=max_loaded)
     service = PredictService(registry, max_batch_rows=max_batch_rows,
-                             max_delay=max_delay,
-                             micro_batching=micro_batching,
-                             identity=identity)
+                             max_delay=max_delay, identity=identity)
     manager = None
     if jobs:
         manager = JobManager(jobs_dir or Path(model_dir) / "jobs",

@@ -84,7 +84,6 @@ class WorkerConfig:
     max_loaded: int = 4
     max_batch_rows: int = 256
     max_delay: float = 0.002
-    micro_batching: bool = True
     reload_interval: float | None = None
 
 
@@ -109,7 +108,6 @@ def _worker_main(config: WorkerConfig, conn) -> None:
             max_loaded=config.max_loaded,
             max_batch_rows=config.max_batch_rows,
             max_delay=config.max_delay,
-            micro_batching=config.micro_batching,
             reload_interval=config.reload_interval,
             identity={"worker": config.index, "pid": os.getpid()},
             # The router owns the pool's single JobManager: jobs handled
@@ -159,7 +157,6 @@ class WorkerPool:
     def __init__(self, model_dir: str | Path, *, n_workers: int,
                  host: str = "127.0.0.1", max_loaded: int = 4,
                  max_batch_rows: int = 256, max_delay: float = 0.002,
-                 micro_batching: bool = True,
                  reload_interval: float | None = None,
                  wal_dir: str | Path | None = None,
                  start_method: str | None = None) -> None:
@@ -173,8 +170,7 @@ class WorkerPool:
         self.wal_dir = wal_dir
         self._config_kwargs = dict(
             max_loaded=max_loaded, max_batch_rows=max_batch_rows,
-            max_delay=max_delay, micro_batching=micro_batching,
-            reload_interval=reload_interval)
+            max_delay=max_delay, reload_interval=reload_interval)
         self._context = multiprocessing.get_context(
             _resolve_start_method(start_method))
         self._slots = [_WorkerSlot(index=i) for i in range(self.n_workers)]

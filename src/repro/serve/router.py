@@ -422,7 +422,6 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                        port: int = 8000, workers: int = 2,
                        max_inflight: int = 64, max_loaded: int = 4,
                        max_batch_rows: int = 256, max_delay: float = 0.002,
-                       micro_batching: bool = True,
                        reload_interval: float | None = None,
                        wal_dir: str | Path | None = None,
                        start_method: str | None = None,
@@ -450,8 +449,8 @@ def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
     """
     pool = WorkerPool(model_dir, n_workers=workers, host=host,
                       max_loaded=max_loaded, max_batch_rows=max_batch_rows,
-                      max_delay=max_delay, micro_batching=micro_batching,
-                      reload_interval=reload_interval, wal_dir=wal_dir,
+                      max_delay=max_delay, reload_interval=reload_interval,
+                      wal_dir=wal_dir,
                       start_method=start_method)
     manager = None
     if jobs:

@@ -54,11 +54,6 @@ _TUNABLE_FIELDS = ("ef_search", "nprobe", "rerank")
 #: full-corpus rerank per query row.
 _MAX_TUNABLE = 1_000_000
 
-#: Neighbour batchers per loaded index.  Each distinct (k, tunables) a
-#: client sends needs its own batcher and collector thread; past this
-#: many, a new combination is answered unbatched instead.
-_MAX_NEIGHBOR_BATCHERS = 8
-
 
 class PredictService:
     """Resolve, embed and micro-batch predict requests for a model directory.
@@ -71,32 +66,26 @@ class PredictService:
         Micro-batching knobs, applied to every model's batcher; see
         :class:`~repro.serve.batching.MicroBatcher`.  ``max_delay=0`` still
         coalesces whatever is queued concurrently but never lingers.
-    micro_batching:
-        Set ``False`` to bypass batchers entirely (one forward per request)
-        — the baseline mode the serving benchmark compares against.
     """
 
     def __init__(self, registry: ModelRegistry, *,
                  max_batch_rows: int = 256, max_delay: float = 0.002,
-                 micro_batching: bool = True,
                  identity: dict | None = None) -> None:
         self.registry = registry
         self.max_batch_rows = max_batch_rows
         self.max_delay = max_delay
-        self.micro_batching = micro_batching
         #: Free-form keys merged into the health payload; the worker pool
         #: stamps ``{"worker": index, "pid": ...}`` so /healthz identifies
         #: which process answered.
         self.identity = dict(identity or {})
-        # One batcher per *load* of a model (and, for vector indexes, per
-        # requested k — rows in one coalesced query must share their k).
-        # Keyed by the LoadedModel entry itself (identity-hashed, strong
-        # reference — no id() reuse hazard) plus the k discriminator, and
+        # One batcher per *load* of a model or index (a vector index's k
+        # and tunables travel as the request key, so rows in one query
+        # share them).  Keyed by the LoadedModel entry itself
+        # (identity-hashed, strong reference — no id() reuse hazard) and
         # retired through the registry's eviction hook, so an evicted or
         # reloaded model never stays pinned by its old batcher and never
         # serves stale weights.
-        self._batchers: dict[tuple[LoadedModel, int | None],
-                             MicroBatcher] = {}
+        self._batchers: dict[LoadedModel, MicroBatcher] = {}
         # Memoised /search index resolution, keyed by the directory
         # listing it was derived from (see _only_index_name).
         self._index_names_cache: tuple[tuple[str, ...], list[str]] | None = \
@@ -131,7 +120,6 @@ class PredictService:
             "model_dir": str(self.registry.model_dir),
             "models": len(self.registry),
             "loaded": self.registry.loaded_names,
-            "micro_batching": self.micro_batching,
             **self.identity,
         }
 
@@ -159,11 +147,7 @@ class PredictService:
             self._m_cache_hits.inc(model=name)
         if labels is None:
             matrix = self._matrix_from_payload(loaded, payload)
-            if self.micro_batching:
-                labels = self._batched_predict(loaded, matrix)
-            else:
-                labels = loaded.model.predict(matrix)
-            labels = np.asarray(labels)
+            labels = np.asarray(self._submit(loaded, matrix, ()))
             if cache_key is not None:
                 get_cache().put(cache_key, labels)
         return {
@@ -182,10 +166,9 @@ class PredictService:
         ``rerank`` — validated against the backend's contract,
         defaulting to its build-time settings).  Concurrent
         requests with the same ``k`` *and* tunables are micro-batched
-        into shared index queries (for the first
-        ``_MAX_NEIGHBOR_BATCHERS`` combinations per index; later ones
-        are answered unbatched).  Returns ids, positions and distances
-        per query row, each row ordered nearest first.
+        into shared index queries by the index's one batcher.  Returns
+        ids, positions and distances per query row, each row ordered
+        nearest first.
         """
         loaded = self.registry.get(name)
         index = loaded.model
@@ -201,12 +184,10 @@ class PredictService:
                 f"'k' must be an integer in [1, {_MAX_NEIGHBORS}], got {k!r}")
         tunables = self._query_tunables(index, name, payload)
         matrix = self._matrix_from_payload(loaded, payload)
-        if self.micro_batching:
-            packed = self._batched_neighbors(loaded, matrix, k, tunables)
-            positions = packed[:, 0].astype(np.int64)
-            distances = packed[:, 1]
-        else:
-            positions, distances = index.query(matrix, k, **tunables)
+        packed = self._submit(loaded, matrix,
+                              (k, tuple(sorted(tunables.items()))))
+        positions = packed[:, 0].astype(np.int64)
+        distances = packed[:, 1]
         response = {
             "model": name,
             "n_items": int(positions.shape[0]),
@@ -341,14 +322,14 @@ class PredictService:
         self.close()
 
     # ------------------------------------------------------------------
-    def _batched_predict(self, loaded: LoadedModel,
-                         matrix: np.ndarray) -> np.ndarray:
+    def _submit(self, loaded: LoadedModel, matrix: np.ndarray,
+                key: tuple) -> np.ndarray:
         # An eviction can close the batcher between lookup and submit;
         # the registry still has (or will reload) the model, so retry with
         # a fresh batcher rather than failing the request.
         for _ in range(3):
             try:
-                result = self._batcher_for(loaded).submit(matrix)
+                result = self._batcher_for(loaded).submit(matrix, key)
             except ServingError as exc:
                 if "closed" not in str(exc):
                     raise
@@ -360,76 +341,39 @@ class PredictService:
                 # model or accumulate in the stats.
                 self._retire_batcher(loaded)
             return result
-        return loaded.model.predict(matrix)
+        return self._forward(loaded.model)(matrix, *key)
 
-    def _batched_neighbors(self, loaded: LoadedModel, matrix: np.ndarray,
-                           k: int, tunables: dict[str, int]) -> np.ndarray:
-        # Same eviction-race discipline as _batched_predict: a closed
-        # batcher means the load was retired, so resolve afresh and retry.
-        for _ in range(3):
-            batcher = self._neighbor_batcher_for(loaded, k, tunables)
-            if batcher is None:
-                break
-            try:
-                result = batcher.submit(matrix)
-            except ServingError as exc:
-                if "closed" not in str(exc):
-                    raise
-                loaded = self.registry.get(loaded.name)
-                continue
-            if not self.registry.is_current(loaded):
-                self._retire_batcher(loaded)
-            return result
-        positions, distances = loaded.model.query(matrix, k, **tunables)
-        return np.stack([positions.astype(np.float64), distances], axis=1)
+    @staticmethod
+    def _forward(model):
+        """A batcher's ``predict_fn`` for one loaded model or index."""
+        if not isinstance(model, VectorIndex):
+            return model.predict
 
-    def _batcher_for(self, loaded: LoadedModel) -> MicroBatcher:
-        with self._lock:
-            batcher = self._batchers.get((loaded, None))
-            if batcher is None:
-                batcher = MicroBatcher(loaded.model.predict,
-                                       max_batch_rows=self.max_batch_rows,
-                                       max_delay=self.max_delay,
-                                       name=loaded.name)
-                self._batchers[loaded, None] = batcher
-            return batcher
-
-    def _neighbor_batcher_for(self, loaded: LoadedModel, k: int,
-                              tunables: dict[str, int]
-                              ) -> MicroBatcher | None:
-        """The batcher for one (index, k, tunables), or ``None`` at the cap."""
-        index = loaded.model
-
-        def query_rows(X: np.ndarray) -> np.ndarray:
-            positions, distances = index.query(X, k, **tunables)
+        def query_rows(X: np.ndarray, k: int, knobs: tuple) -> np.ndarray:
+            positions, distances = model.query(X, k, **dict(knobs))
             # Packed as one (rows, 2, k) array so the MicroBatcher can
             # hand each caller its row slice of a shared query.
             return np.stack([positions.astype(np.float64), distances],
                             axis=1)
 
-        # Tunables join the batcher key: rows coalesced into one index
-        # query must share their recall/latency settings, not just k.
-        knobs = tuple(sorted(tunables.items()))
-        suffix = "".join(f"&{field}={value}" for field, value in knobs)
+        return query_rows
+
+    def _batcher_for(self, loaded: LoadedModel) -> MicroBatcher:
         with self._lock:
-            batcher = self._batchers.get((loaded, k, knobs))
+            batcher = self._batchers.get(loaded)
             if batcher is None:
-                if sum(key[0] is loaded for key in self._batchers) \
-                        >= _MAX_NEIGHBOR_BATCHERS:
-                    return None
-                batcher = MicroBatcher(query_rows,
+                batcher = MicroBatcher(self._forward(loaded.model),
                                        max_batch_rows=self.max_batch_rows,
                                        max_delay=self.max_delay,
-                                       name=f"{loaded.name}#k={k}{suffix}")
-                self._batchers[loaded, k, knobs] = batcher
+                                       name=loaded.name)
+                self._batchers[loaded] = batcher
             return batcher
 
     def _retire_batcher(self, loaded: LoadedModel) -> None:
-        """Registry eviction hook: drop and stop the entry's batcher(s)."""
+        """Registry eviction hook: drop and stop the entry's batcher."""
         with self._lock:
-            keys = [key for key in self._batchers if key[0] is loaded]
-            batchers = [self._batchers.pop(key) for key in keys]
-        for batcher in batchers:
+            batcher = self._batchers.pop(loaded, None)
+        if batcher is not None:
             batcher.close()
 
     @staticmethod

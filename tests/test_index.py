@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 import urllib.error
 import urllib.request
 
@@ -40,6 +41,7 @@ from repro.serialize import (
     save_checkpoint,
 )
 from repro.utils import pairwise_distances
+from repro.utils.metrics_dispatch import unit_rows
 
 ALL_BACKENDS = [FlatIndex,
                 lambda **kw: IVFIndex(coding="none", nprobe=8, **kw),
@@ -225,6 +227,30 @@ class TestExactness:
         index.add(Q)
         expected, _ = lowest_tied(index.centroids_)
         assert np.array_equal(index.assignments_[64:], expected)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_uncoded_build_holds_one_corpus_copy(self, metric):
+        """A build's peak allocation stays near one copy of the corpus.
+
+        The search-space rows (for cosine a normalised copy) are dropped
+        before the cell-ordered list is gathered, and the list terms are
+        summed block by block, so no two n x d arrays are live at once.
+        """
+        X = np.random.default_rng(3).normal(
+            size=(40_000, 32)).astype(INDEX_DTYPE)
+        index = IVFIndex(metric=metric, nlist=16, coding="none")
+        tracemalloc.start()
+        try:
+            index.build(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / X.nbytes < 1.75
+        vecs = index._lists["list_vecs"]
+        search = unit_rows(X) if metric == "cosine" else X
+        assert np.array_equal(vecs, search[index._order])
+        assert np.array_equal(index._lists["list_terms"],
+                              np.sum(vecs ** 2, axis=1))
 
     @pytest.mark.parametrize("make", ALL_BACKENDS, ids=BACKEND_IDS)
     def test_query_is_deterministic(self, make):

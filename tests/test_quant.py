@@ -572,9 +572,7 @@ class TestServingTunables:
                                   {"vectors": X[:1].tolist(), "nprobe": bad})
 
     def test_neighbor_batchers_are_bounded_per_index(self, service):
-        """Many distinct tunables cannot start a thread per value."""
-        from repro.serve.service import _MAX_NEIGHBOR_BATCHERS
-
+        """Many distinct tunables share the index's one batcher."""
         service, X = service
         index = service.registry.get("quantized").model
         threads = threading.active_count()
@@ -584,27 +582,30 @@ class TestServingTunables:
             positions, distances = index.query(X[:3], 4, rerank=rerank)
             assert result["positions"] == positions.tolist()
             assert result["distances"] == distances.tolist()
-        assert len(service._batchers) == _MAX_NEIGHBOR_BATCHERS
-        assert threading.active_count() - threads <= _MAX_NEIGHBOR_BATCHERS
+        assert len(service._batchers) == 1
+        assert threading.active_count() - threads <= 1
 
-    def test_neighbor_batcher_cap_holds_under_concurrency(self, service):
-        from repro.serve.service import _MAX_NEIGHBOR_BATCHERS
-
+    def test_one_neighbor_batcher_under_concurrency(self, service):
+        """Concurrent clients mixing tunables each get their own answer."""
         service, X = service
-        errors = []
+        index = service.registry.get("quantized").model
+        threads = threading.active_count()
+        answers, errors = [], []
 
-        def client(offset):
+        def client(worker):
             try:
-                for rerank in range(offset, offset + 10):
-                    service.neighbors("quantized", {
-                        "vectors": X[:1].tolist(), "k": 3, "rerank": rerank})
+                for step in range(20):
+                    rerank = (5 * worker + step) % 20
+                    answers.append((worker, rerank, service.neighbors(
+                        "quantized", {"vectors": X[worker:worker + 1].tolist(),
+                                      "k": 3, "rerank": rerank})))
             except Exception as exc:  # reported by the assert below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            clients = [threading.Thread(target=client, args=(3 * w,))
+            clients = [threading.Thread(target=client, args=(w,))
                        for w in range(4)]
             for thread in clients:
                 thread.start()
@@ -614,7 +615,14 @@ class TestServingTunables:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in clients)
         assert errors == []
-        assert len(service._batchers) == _MAX_NEIGHBOR_BATCHERS
+        assert len(answers) == 80
+        for worker, rerank, result in answers:
+            positions, distances = index.query(X[worker:worker + 1], 3,
+                                               rerank=rerank)
+            assert result["positions"] == positions.tolist()
+            assert result["distances"] == distances.tolist()
+        assert len(service._batchers) == 1
+        assert threading.active_count() - threads <= 1
 
 
 class TestMmapServingRotation:

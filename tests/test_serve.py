@@ -152,6 +152,43 @@ class TestMicroBatcher:
         assert np.array_equal(outcomes["good"], model.predict(X[:2]))
         assert isinstance(outcomes["bad"], DataValidationError)
 
+    def test_keyed_requests_share_a_tick_but_not_a_forward(self):
+        """One tick, three keys: one call per key, each with its own key."""
+        X = np.arange(8.0).reshape(4, 2)
+        calls: list[tuple[int, float]] = []
+
+        def predict(rows, scale=1.0):
+            calls.append((rows.shape[0], scale))
+            if scale < 0:
+                raise ValueError("negative scale")
+            return rows[:, 0] * scale
+
+        requests = {"a": (X[:1], ()), "b": (X[1:2], (2.0,)),
+                    "c": (X[2:4], ()), "d": (X[3:4], (-1.0,))}
+        with MicroBatcher(predict, max_delay=0.2) as batcher:
+            barrier = threading.Barrier(len(requests))
+            outcomes: dict[str, object] = {}
+
+            def submit(name, rows, key):
+                barrier.wait()
+                try:
+                    outcomes[name] = batcher.submit(rows, key)
+                except Exception as exc:
+                    outcomes[name] = exc
+
+            threads = [threading.Thread(target=submit,
+                                        args=(name, rows, key))
+                       for name, (rows, key) in requests.items()]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        assert sorted(calls) == [(1, -1.0), (1, 2.0), (3, 1.0)]
+        assert np.array_equal(outcomes["a"], X[:1, 0])
+        assert np.array_equal(outcomes["b"], 2.0 * X[1:2, 0])
+        assert np.array_equal(outcomes["c"], X[2:4, 0])
+        assert isinstance(outcomes["d"], ValueError)
+
     def test_errors_propagate_to_submitters(self):
         def exploding(batch):
             raise RuntimeError("model exploded")
@@ -649,15 +686,6 @@ class TestPredictService:
         with PredictService(ModelRegistry(tmp_path)) as service:
             with pytest.raises(ServingError, match="metadata"):
                 service.predict("bare", {"items": [{"headers": ["a"]}]})
-
-    def test_unbatched_mode(self, tmp_path):
-        model, X = _fitted_kmeans()
-        save_checkpoint(tmp_path / "m.npz", model)
-        with PredictService(ModelRegistry(tmp_path),
-                            micro_batching=False) as service:
-            body = service.predict("m", {"vectors": X[:3].tolist()})
-            assert body["labels"] == [int(v) for v in model.predict(X[:3])]
-            assert service.stats() == {}
 
 
 # ----------------------------------------------------------------------
