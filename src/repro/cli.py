@@ -824,9 +824,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_update(args: argparse.Namespace) -> int:
     from .experiments.runner import build_dataset
-    from .experiments.streaming import _EMBED_FNS, STREAMABLE_EMBEDDINGS
-    from .serialize import load_checkpoint, rotate_checkpoint
-    from .stream import incremental_update
+    from .experiments.streaming import (_EMBED_FNS, STREAMABLE_EMBEDDINGS,
+                                        apply_batch, commit_batch,
+                                        load_sibling_index)
+    from .serialize import load_checkpoint
+    from .wal import WALRecord
 
     model = load_checkpoint(args.checkpoint)
     metadata = dict(model.checkpoint_header_.get("metadata", {}))
@@ -851,30 +853,27 @@ def _cmd_update(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else \
         (train_seed if isinstance(train_seed, int) else 0) + 1
     dataset = build_dataset(args.data, _SCALES[args.scale], seed=seed)
-    X = _EMBED_FNS[task](dataset, embedding, seed=seed)
+    record = WALRecord(
+        batch_id=0, arrays={"X": _EMBED_FNS[task](dataset, embedding,
+                                                  seed=seed)},
+        meta={"action": "update", "epochs": args.epochs, "seed": seed,
+              "dataset": args.data})
+    index, index_metadata = load_sibling_index(args.checkpoint, metadata)
     wal = None
-    batch_id = None
     if args.wal_dir is not None:
-        from .wal import WriteAheadLog, stamp_wal_metadata, wal_namespace
+        from .wal import WriteAheadLog, wal_namespace
 
         wal = WriteAheadLog(wal_namespace(args.wal_dir, args.checkpoint.stem,
                                           args.stream))
         # Journal-first: the batch is durable before the model changes.
-        batch_id = wal.append({"X": X},
-                              meta={"epochs": args.epochs, "seed": seed,
-                                    "dataset": args.data})
+        record.batch_id = wal.append(record.arrays, meta=record.meta)
     try:
-        report = incremental_update(model, X, epochs=args.epochs, seed=seed)
-        metadata.update({"n_items": int(X.shape[0]),
+        model, report = apply_batch(model, record)
+        metadata.update({"n_items": int(record.arrays["X"].shape[0]),
                          "updated_from": args.data, "update_seed": seed})
-        if batch_id is not None:
-            stamp_wal_metadata(metadata, stream=args.stream,
-                               batch_id=batch_id)
-        rotate_checkpoint(args.checkpoint, model, metadata=metadata,
-                          keep=args.keep_generations)
-        if wal is not None:
-            wal.rotate_segment()
-            wal.prune(batch_id)
+        commit_batch(args.checkpoint, model, metadata, record,
+                     keep=args.keep_generations, wal=wal, index=index,
+                     index_metadata=index_metadata)
     finally:
         if wal is not None:
             wal.close()

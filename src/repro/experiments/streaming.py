@@ -10,6 +10,10 @@ fresh fit on everything seen), scores the result against the batch's
 ground truth, and optionally rotates a servable checkpoint generation per
 step (:func:`repro.serialize.rotate_checkpoint`) for a hot-reloading
 ``repro serve`` to pick up.
+
+Each batch record is applied by :func:`apply_batch` and made durable by
+:func:`commit_batch`; ``repro update``, :func:`repro.wal.recover_checkpoint`
+and the crash harness call the same two functions.
 """
 
 from __future__ import annotations
@@ -21,29 +25,33 @@ import numpy as np
 
 from ..clustering import relabel_noise_as_singletons
 from ..config import BENCHMARK_SCALE, DeepClusteringConfig, ExperimentScale
-from ..exceptions import StreamingError
+from ..embeddings.single import SERVABLE_EMBEDDINGS
+from ..exceptions import StreamingError, WALError
 from ..metrics import adjusted_rand_index, clustering_accuracy
 from ..obs.logging import get_logger
-from ..serialize import rotate_checkpoint
+from ..serialize import load_checkpoint, rotate_checkpoint
 from ..stream import DriftMonitor, StreamSource, incremental_update
-from ..wal import WriteAheadLog, stamp_wal_metadata, wal_namespace
+from ..wal import (WALRecord, WriteAheadLog, stamp_wal_metadata,
+                   wal_applied, wal_namespace)
 from ..tasks import embed_columns, embed_records, embed_tables
 from ..tasks.base import make_clusterer
 from ..utils.timing import Timer
 
-__all__ = ["StreamStepResult", "run_stream_scenario", "STREAMABLE_EMBEDDINGS"]
+__all__ = ["StreamStepResult", "apply_batch", "commit_batch",
+           "load_sibling_index", "run_stream_scenario",
+           "STREAMABLE_EMBEDDINGS"]
 
 _LOG = get_logger("stream")
 
 #: Embeddings whose vectors depend on the item alone — the only ones where
 #: a batch embedded today lands in the space the model was fitted in
 #: yesterday.  Corpus-dependent methods (EmbDi, TabNet/TabTransformer)
-#: would re-derive a new space per batch and are rejected.
-STREAMABLE_EMBEDDINGS = {
-    "schema_inference": ("sbert", "fasttext"),
-    "entity_resolution": ("sbert",),
-    "domain_discovery": ("sbert", "fasttext", "sbert_instance"),
-}
+#: would re-derive a new space per batch and are rejected.  The same
+#: allow-list serving uses to embed single items.
+STREAMABLE_EMBEDDINGS = SERVABLE_EMBEDDINGS
+
+#: Record ``meta`` keys passed through to :func:`incremental_update`.
+_UPDATE_KWARGS = ("epochs", "batch_size", "seed")
 
 _EMBED_FNS = {
     "schema_inference": embed_tables,
@@ -93,6 +101,100 @@ def _score(model, X: np.ndarray, labels_true: np.ndarray) -> tuple[float, float]
             clustering_accuracy(labels_true, predicted))
 
 
+def apply_batch(model, record: WALRecord):
+    """Apply one batch record to ``model``; return ``(model, report)``.
+
+    ``"update"``/``"fit"`` records (``meta["action"]``) go through
+    :func:`repro.stream.incremental_update` in place with the record's
+    ``epochs``/``batch_size``/``seed``.  ``"refit"`` records return a fresh
+    fit on ``X_seen`` + ``X`` from the journaled clusterer context
+    (``algorithm``, ``n_clusters``, optional ``config``), report ``None``.
+    Anything else raises :class:`~repro.exceptions.WALError`.
+    """
+    meta = record.meta
+    action = str(meta.get("action", "update"))
+    if action in ("update", "fit"):
+        kwargs = {key: meta[key] for key in _UPDATE_KWARGS
+                  if meta.get(key) is not None}
+        return model, incremental_update(model, record.arrays["X"], **kwargs)
+    if action != "refit":
+        raise WALError(
+            f"record {record.batch_id} has unknown action {action!r}; "
+            "refusing to guess how to apply it")
+    if "X_seen" not in record.arrays:
+        raise WALError(
+            f"refit record {record.batch_id} carries no X_seen history; "
+            "cannot reproduce the refit — run repro repair and refit "
+            "manually")
+    algorithm, n_clusters = meta.get("algorithm"), meta.get("n_clusters")
+    if not algorithm or n_clusters is None:
+        raise WALError(
+            f"refit record {record.batch_id} is missing clusterer context "
+            "(algorithm / n_clusters)")
+    config = meta.get("config")
+    model = make_clusterer(
+        str(algorithm), int(n_clusters),
+        config=None if config is None else DeepClusteringConfig(**config),
+        seed=meta.get("seed"))
+    model.fit(np.vstack([record.arrays["X_seen"], record.arrays["X"]]))
+    return model, None
+
+
+def _index_path(save_path: str | Path) -> Path:
+    save_path = Path(save_path)
+    return save_path.with_name(save_path.stem + ".index.npz")
+
+
+def load_sibling_index(save_path: str | Path, metadata: dict):
+    """The ``<stem>.index.npz`` beside ``save_path``: ``(index, metadata)``.
+
+    ``(None, None)`` when there is none.  An index header without
+    ``wal_applied`` predates watermark stamping; it rotated in lockstep
+    with the model, so it starts from the model's watermark (``metadata``)
+    and no batch the model holds is added to it twice.
+    """
+    path = _index_path(save_path)
+    if not path.exists():
+        return None, None
+    index = load_checkpoint(path)
+    index_metadata = dict(index.checkpoint_header_.get("metadata", {}))
+    index_metadata.setdefault("wal_applied", wal_applied(metadata))
+    return index, index_metadata
+
+
+def commit_batch(save_path: str | Path, model, metadata: dict,
+                 record: WALRecord, *, keep: int,
+                 wal: WriteAheadLog | None = None, index=None,
+                 index_metadata: dict | None = None) -> list[Path]:
+    """Make one applied batch durable; return the journal segments pruned.
+
+    Stamps ``record.batch_id`` into ``metadata`` (with a journal) and
+    rotates ``model``; adds ``X`` to ``index`` and rotates it as the
+    sibling ``<stem>.index.npz`` under its own stamped watermark; then
+    prunes ``wal`` at the lower watermark, so a record is dropped only once
+    both files hold it.  ``model`` or ``index`` ``None`` skips a file that
+    already holds the batch (recovery catching the other one up).
+    """
+    stream = None if wal is None else wal.directory.stem
+    if model is not None:
+        if wal is not None:
+            stamp_wal_metadata(metadata, stream=stream,
+                               batch_id=record.batch_id)
+        rotate_checkpoint(save_path, model, metadata=metadata, keep=keep)
+    if index is not None:
+        if wal is not None:
+            stamp_wal_metadata(index_metadata, stream=stream,
+                               batch_id=record.batch_id)
+        index.add(record.arrays["X"])
+        rotate_checkpoint(_index_path(save_path), index,
+                          metadata=index_metadata, keep=keep)
+    if wal is None:
+        return []
+    marks = [wal_applied(meta).get(stream, 0)
+             for meta in (metadata, index_metadata) if meta is not None]
+    return wal.prune(min(marks))
+
+
 def run_stream_scenario(task: str, *, dataset, embedding: str = "sbert",
                         algorithm: str = "kmeans",
                         n_batches: int = 4,
@@ -131,8 +233,9 @@ def run_stream_scenario(task: str, *, dataset, embedding: str = "sbert",
     Refit decisions journal the full seen history alongside the batch so
     recovery reproduces the exact fresh fit; with ``with_index`` the
     rotated index carries its own stamped watermark and recovery replays
-    pending batches into it too.  WAL segments rotate with the checkpoint
-    generations and are pruned at the watermark.  The returned list has
+    pending batches into it too.  Each batch is applied by
+    :func:`apply_batch` and made durable by :func:`commit_batch`, the
+    functions recovery replays the journal with.  The returned list has
     one entry for the initial fit (step ``-1``) followed by one per
     arrival batch.
     """
@@ -146,6 +249,10 @@ def run_stream_scenario(task: str, *, dataset, embedding: str = "sbert",
         raise StreamingError(
             f"embedding {embedding!r} is corpus-dependent or unknown; "
             f"streaming supports {supported} for task {task!r}")
+    if save_path is None and not (wal_dir is None and with_index is None):
+        raise StreamingError(
+            "wal_dir and with_index require a checkpoint save path (the "
+            "watermark lives in its metadata, the index rotates beside it)")
     if isinstance(dataset, str):
         from .runner import build_dataset
         dataset = build_dataset(dataset, scale or BENCHMARK_SCALE, seed=seed)
@@ -180,10 +287,6 @@ def run_stream_scenario(task: str, *, dataset, embedding: str = "sbert",
                 "n_features": int(X0.shape[1])}
     wal = None
     if wal_dir is not None:
-        if save_path is None:
-            raise StreamingError(
-                "wal_dir requires a checkpoint save path (the journal's "
-                "applied watermark lives in checkpoint metadata)")
         wal = WriteAheadLog(
             wal_namespace(wal_dir, Path(save_path).stem, stream_name))
         # The fresh fit supersedes anything already journaled: stamp the
@@ -195,76 +298,57 @@ def run_stream_scenario(task: str, *, dataset, embedding: str = "sbert",
         rotate_checkpoint(save_path, model, metadata=metadata,
                           keep=keep_generations)
 
-    index = None
-    index_path = None
+    index = index_metadata = None
     if with_index is not None:
-        if save_path is None:
-            raise StreamingError(
-                "with_index requires a checkpoint save path (the index is "
-                "rotated alongside the model)")
         from ..index import create_index
 
-        save_path = Path(save_path)
-        index_path = save_path.with_name(save_path.stem + ".index.npz")
         index = create_index(with_index, metric="cosine")
         index.build(X0)
         index_metadata = {**metadata, "kind": "vector-index",
                           "backend": with_index}
-        rotate_checkpoint(index_path, index, metadata=index_metadata,
-                          keep=keep_generations)
+        rotate_checkpoint(_index_path(save_path), index,
+                          metadata=index_metadata, keep=keep_generations)
 
     seen = [X0]
     seen_labels = [np.asarray(initial.labels, dtype=np.int64)]
     try:
         for batch in source.batches():
             Xb = embed(batch.dataset, embedding, seed=seed)
+            labels = np.asarray(batch.labels, dtype=np.int64)
             predicted = relabel_noise_as_singletons(model.predict(Xb))
             decision = monitor.assess(
                 Xb, predicted,
                 model_refit_flag=bool(
                     getattr(model, "refit_recommended_", False)))
-            batch_id = None
+            # The record apply_batch replays after a crash: a refit needs
+            # the full pre-batch history and the clusterer context.
+            record = WALRecord(batch_id=0, arrays={"X": Xb, "labels": labels},
+                               meta={"seed": seed, "action": decision.action,
+                                     "algorithm": algorithm})
+            if decision.action == "refit":
+                record.arrays["X_seen"] = np.vstack(seen)
+                record.meta["n_clusters"] = int(np.unique(
+                    np.concatenate(seen_labels + [labels])).size)
+                if config is not None:
+                    from dataclasses import asdict
+                    record.meta["config"] = asdict(config)
             if wal is not None:
                 # Journal-first: the batch is on stable storage before any
                 # model state changes, so a crash below is recoverable.
-                arrays = {"X": Xb,
-                          "labels": np.asarray(batch.labels, dtype=np.int64)}
-                meta = {"seed": seed, "action": decision.action,
-                        "algorithm": algorithm}
-                if decision.action == "refit":
-                    # A refit cannot be replayed from the batch alone:
-                    # journal the full pre-batch history and the clusterer
-                    # context so recover_checkpoint reproduces the exact
-                    # fresh fit (see repro.wal.recovery._replay_refit).
-                    arrays["X_seen"] = np.vstack(seen)
-                    meta["n_clusters"] = int(np.unique(np.concatenate(
-                        seen_labels + [np.asarray(batch.labels,
-                                                  dtype=np.int64)])).size)
-                    if config is not None:
-                        from dataclasses import asdict
-                        meta["config"] = asdict(config)
-                batch_id = wal.append(arrays, meta=meta)
-            details: dict = {}
+                record.batch_id = wal.append(record.arrays, meta=record.meta)
             timer = Timer()
             with timer:
-                if decision.action == "refit":
-                    X_all = np.vstack(seen + [Xb])
-                    y_all = np.concatenate(seen_labels + [batch.labels])
-                    model = make_clusterer(
-                        algorithm, int(np.unique(y_all).size), config=config,
-                        seed=seed)
-                    model.fit(X_all)
+                model, report = apply_batch(model, record)
+                if report is None:
                     monitor.observe_reference(
-                        X_all, relabel_noise_as_singletons(
+                        np.vstack(seen + [Xb]), relabel_noise_as_singletons(
                             np.asarray(model.labels_)))
-                else:
-                    report = incremental_update(model, Xb, seed=seed)
-                    details = dict(report.details)
             seen.append(Xb)
-            seen_labels.append(np.asarray(batch.labels, dtype=np.int64))
+            seen_labels.append(labels)
             _LOG.info("stream_batch_applied", step=batch.index,
                       action=decision.action, n_items=int(Xb.shape[0]),
-                      batch_id=batch_id, drifted=bool(batch.drifted),
+                      batch_id=record.batch_id or None,
+                      drifted=bool(batch.drifted),
                       seconds=round(timer.elapsed, 4))
             ari, acc = _score(model, Xb, batch.labels)
             results.append(StreamStepResult(
@@ -275,32 +359,11 @@ def run_stream_scenario(task: str, *, dataset, embedding: str = "sbert",
                 mean_shift=decision.mean_shift,
                 silhouette=decision.silhouette,
                 drifted=batch.drifted, reasons=decision.reasons,
-                details=details))
-            if batch_id is not None:
-                stamp_wal_metadata(metadata, stream=stream_name,
-                                   batch_id=batch_id)
+                details={} if report is None else dict(report.details)))
             if save_path is not None:
-                rotate_checkpoint(save_path, model, metadata=metadata,
-                                  keep=keep_generations)
-            if index is not None:
-                # The streaming write path: absorb the arrivals incrementally
-                # and rotate the index generation in lockstep with the model,
-                # stamping the same watermark so recovery knows which batches
-                # the index already contains.
-                if batch_id is not None:
-                    stamp_wal_metadata(index_metadata, stream=stream_name,
-                                       batch_id=batch_id)
-                index.add(Xb)
-                rotate_checkpoint(index_path, index, metadata=index_metadata,
-                                  keep=keep_generations)
-            if wal is not None:
-                # Seal the segment only once it is large enough (one fsync
-                # per append in steady state); everything at or below the
-                # stamped watermark in sealed segments is prunable.  Pruning
-                # runs after the index rotation so a record is only dropped
-                # once both artifacts durably contain it.
-                wal.maybe_rotate()
-                wal.prune(batch_id)
+                commit_batch(save_path, model, metadata, record,
+                             keep=keep_generations, wal=wal, index=index,
+                             index_metadata=index_metadata)
     finally:
         if wal is not None:
             wal.close()

@@ -10,9 +10,9 @@ This package closes that durability gap with classic database machinery:
   CRC32-checksummed records (header JSON + raw array payload) that
   round-trip bit-identically and detect any torn write or byte flip;
 * :class:`WriteAheadLog` — an append-only, fsync'd, segmented journal per
-  ``<model>/<stream>.wal`` namespace, with size-thresholded segment
-  rotation and pruning keyed to the applied watermark checkpoint
-  generations stamp;
+  ``<model>/<stream>.wal`` namespace; an append starts a new segment once
+  the last one on disk has reached a size threshold, and pruning is keyed
+  to the applied watermark checkpoint generations stamp;
 * :func:`recover_checkpoint` / :func:`recover_model_dir` — replay-after-
   restart: apply exactly the journal suffix newer than the watermark
   stamped in checkpoint metadata (``wal_applied``), rotating a generation
@@ -21,12 +21,15 @@ This package closes that durability gap with classic database machinery:
   damaged directories (orphan temp files, corrupt checkpoints, torn
   journals).
 
-The ingestion discipline — journal *first*, fsync, apply, rotate, stamp —
-is wired through ``repro stream --wal-dir``, ``repro update --wal-dir``
-and ``repro serve --wal-dir`` (recovery at startup), and proven by the
-crash/fault-injection harness in ``tests/faultinject.py``, which SIGKILLs
-ingestion at every interesting point and asserts the recovered state is
-bit-for-bit equal to an uninterrupted run.
+The ingestion discipline — journal *first*, fsync, apply, stamp, rotate,
+prune — lives in two functions,
+:func:`repro.experiments.streaming.apply_batch` and
+:func:`repro.experiments.streaming.commit_batch`.  ``repro stream
+--wal-dir``, ``repro update --wal-dir``, recovery (``repro serve
+--wal-dir`` at startup) and the crash/fault-injection harness in
+``tests/faultinject.py`` all call them; the harness SIGKILLs ingestion at
+every interesting point and asserts the recovered state is bit-for-bit
+equal to an uninterrupted run.
 """
 
 from .journal import WriteAheadLog, replay_wal, wal_namespace

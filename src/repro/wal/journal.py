@@ -23,14 +23,13 @@ Durability discipline:
 * opening a journal *heals the torn tail*: a crash mid-append leaves a
   partial record at the end of the last segment, which is truncated away
   (the batch was never acknowledged, so dropping it is correct);
-* :meth:`WriteAheadLog.maybe_rotate` seals the current segment once it
-  grows past a size threshold (:data:`DEFAULT_SEGMENT_BYTES`) — steady
-  state pays one fsync per append, no per-batch file churn — while
-  :meth:`WriteAheadLog.rotate_segment` seals unconditionally (recovery
-  and single-shot ``repro update`` use it so their segments become
-  immediately prunable); :meth:`WriteAheadLog.prune` drops sealed
-  segments made obsolete by the applied watermark stamped into
-  checkpoint metadata.
+* an append starts a new segment once the last segment on disk has
+  reached :data:`DEFAULT_SEGMENT_BYTES` — decided from the file, so a
+  one-shot writer (``repro update``, recovery) seals as a long-running
+  loop does, and steady state pays one fsync per append with no
+  per-batch file churn; :meth:`WriteAheadLog.rotate_segment` seals
+  unconditionally; :meth:`WriteAheadLog.prune` drops sealed segments made
+  obsolete by the applied watermark stamped into checkpoint metadata.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ from .record import WALCorruption, WALRecord, encode_record, scan_records
 __all__ = ["DEFAULT_SEGMENT_BYTES", "WriteAheadLog", "replay_wal",
            "wal_namespace"]
 
-#: Size threshold at which :meth:`WriteAheadLog.maybe_rotate` seals the
-#: current segment.  Large enough that steady-state ingestion pays one
-#: fsync per append (no per-batch file creation), small enough that
-#: pruning reclaims space promptly.
+#: Segment size at which the next append starts a new segment.  Large
+#: enough that steady-state ingestion pays one fsync per append (no
+#: per-batch file creation), small enough that pruning reclaims space
+#: promptly.
 DEFAULT_SEGMENT_BYTES = 4 * 2**20
 
 #: Segment file layout: ``segment-<first batch id, 16 digits>.wal``.
@@ -200,12 +199,16 @@ class WriteAheadLog:
         return handles
 
     def _writable_handle(self, next_id: int):
-        if self._handle is not None and not self._handle.closed:
-            return self._handle
-        segments = self.segments()
-        if segments and not self._force_new_segment:
-            path = segments[-1]
-        else:
+        """The open segment, or a new one after :meth:`rotate_segment` or
+        once the last segment on disk has reached the size threshold."""
+        handle = self._handle
+        if handle is not None and not handle.closed:
+            if os.fstat(handle.fileno()).st_size < DEFAULT_SEGMENT_BYTES:
+                return handle
+            self.close()
+        path = self.current_segment
+        if (path is None or self._force_new_segment
+                or path.stat().st_size >= DEFAULT_SEGMENT_BYTES):
             path = self.directory / f"segment-{next_id:016d}.wal"
         created = not path.exists()
         self._handle = path.open("ab")
@@ -223,20 +226,6 @@ class WriteAheadLog:
         """
         self.close()
         self._force_new_segment = True
-
-    def maybe_rotate(self, max_bytes: int = DEFAULT_SEGMENT_BYTES) -> bool:
-        """Seal the segment once it exceeds ``max_bytes``; True if sealed.
-
-        The steady-state ingestion policy: appends share one segment (one
-        fsync each, no file churn) until it grows past the threshold, at
-        which point it is sealed and — once the applied watermark passes
-        its ids — pruned.
-        """
-        current = self.current_segment
-        if current is None or current.stat().st_size < max_bytes:
-            return False
-        self.rotate_segment()
-        return True
 
     def prune(self, applied_batch_id: int) -> list[Path]:
         """Delete segments fully covered by the applied watermark.

@@ -16,26 +16,29 @@ generation after **each** replayed batch — so recovery itself is
 crash-tolerant and idempotent: killed mid-replay, the next recovery
 resumes from the new watermark and no batch is ever applied twice.
 
+Each pending record goes through the functions the live loop itself
+uses, :func:`repro.experiments.streaming.apply_batch` and
+:func:`repro.experiments.streaming.commit_batch`, so a record is replayed
+exactly as it was first applied.  Records carry the *action* the live
+loop decided for them (``meta["action"]``): ``"update"`` records replay
+through :func:`repro.stream.incremental_update`; ``"refit"`` records carry
+the full pre-batch history (``arrays["X_seen"]``) plus the clusterer
+context (``algorithm``, ``n_clusters``, optional ``config``) and replay as
+the same fresh fit.  An action the apply step does not recognise raises
+:class:`WALError` rather than applying the wrong update.
+
 The model is reloaded from the rotated checkpoint between replayed
 batches, making the replay trajectory identical to an ingestion loop that
 checkpoints (and therefore round-trips) after every batch — which is what
 lets the fault-injection harness assert *bit-for-bit* state parity with
 an uninterrupted run.
 
-Records carry the *action* the live loop decided for them
-(``meta["action"]``, stamped by the ingestion path).  ``"update"``
-records replay through :func:`repro.stream.incremental_update`;
-``"refit"`` records — drift made the live loop refit from scratch —
-carry the full pre-batch history (``arrays["X_seen"]``) plus the
-clusterer context (``algorithm``, ``n_clusters``, optional ``config``)
-and replay as the same fresh fit.  An action recovery does not recognise
-raises :class:`WALError` rather than applying the wrong update.
-
 When the checkpoint has a sibling similarity index
 (``<stem>.index.npz``, rotated in lockstep by ``repro stream
---with-index``), recovery also replays each batch's vectors into the
-index and rotates it with its own stamped watermark, so served search
-stays consistent with the recovered model.
+--with-index`` and kept in step by ``repro update``), the same commit
+replays each batch's vectors into the index and rotates it with its own
+stamped watermark, so served search stays consistent with the recovered
+model.
 
 :func:`recover_model_dir` sweeps a serving model directory before the
 registry starts (the ``repro serve --wal-dir`` startup path): every
@@ -50,22 +53,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..exceptions import WALError
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
-from ..serialize import load_checkpoint, rotate_checkpoint
+from ..serialize import load_checkpoint
 from .journal import WriteAheadLog
 
 _LOG = get_logger("recovery")
 
 __all__ = ["RecoveryReport", "recover_checkpoint", "recover_model_dir",
            "stamp_wal_metadata", "wal_applied"]
-
-#: Replay parameters a journaled record may carry for the update call.
-_REPLAY_KWARGS = ("epochs", "batch_size", "seed")
-
 
 def wal_applied(metadata: dict) -> dict[str, int]:
     """The per-stream applied watermark stamped in checkpoint metadata."""
@@ -135,78 +132,28 @@ def _namespaces(wal_dir: str | Path, model_name: str) -> list[Path]:
     return sorted(path for path in root.glob("*.wal") if path.is_dir())
 
 
-def _replay_refit(record, metadata: dict):
-    """Reproduce a journaled ``"refit"`` decision: a fresh fit on history.
-
-    The live loop journals the full pre-batch history (``X_seen``) and the
-    clusterer context alongside the batch, so recovery re-runs the exact
-    fit the uninterrupted run performed.
-    """
-    from ..tasks.base import make_clusterer  # heavy import, deferred
-
-    if "X_seen" not in record.arrays:
-        raise WALError(
-            f"refit record {record.batch_id} carries no X_seen history; "
-            "cannot reproduce the refit — run repro repair and refit "
-            "manually")
-    algorithm = record.meta.get("algorithm") or metadata.get("algorithm")
-    n_clusters = record.meta.get("n_clusters")
-    if not algorithm or n_clusters is None:
-        raise WALError(
-            f"refit record {record.batch_id} is missing clusterer context "
-            "(algorithm / n_clusters)")
-    config = None
-    if record.meta.get("config") is not None:
-        from ..config import DeepClusteringConfig
-        config = DeepClusteringConfig(**record.meta["config"])
-    X_all = np.vstack([record.arrays["X_seen"], record.arrays["X"]])
-    model = make_clusterer(str(algorithm), int(n_clusters), config=config,
-                           seed=record.meta.get("seed"))
-    model.fit(X_all)
-    return model
-
-
-def _sibling_index(path: Path, applied: dict[str, int]):
-    """Load ``<stem>.index.npz`` beside ``path`` if the ingestion loop
-    rotates one; returns ``(index, metadata, watermarks)`` or ``None``.
-
-    Index checkpoints written before watermark stamping existed carry no
-    ``wal_applied`` of their own; they rotated in lockstep with the model,
-    so the model's watermark is the best available estimate of their
-    content (exact except for a crash between the two rotations).
-    """
-    index_path = path.with_name(path.stem + ".index.npz")
-    if not index_path.exists():
-        return None
-    index = load_checkpoint(index_path)
-    metadata = dict(index.checkpoint_header_.get("metadata", {}))
-    if "wal_applied" in metadata:
-        watermarks = wal_applied(metadata)
-    else:
-        watermarks = dict(applied)
-    return index_path, index, metadata, watermarks
-
-
 def recover_checkpoint(checkpoint_path: str | Path, wal_dir: str | Path, *,
                        keep: int = 3) -> RecoveryReport:
     """Replay the journal suffix newer than ``checkpoint_path``'s watermark.
 
     Opens every ``<wal_dir>/<model>/<stream>.wal`` namespace (healing torn
-    tails), applies each pending record the way the live loop did —
-    :func:`repro.stream.incremental_update` for ``"update"`` records, a
-    reproduced fresh fit for ``"refit"`` records (see module docstring) —
-    and rotates a checkpoint generation per replayed batch.  A sibling
-    ``<stem>.index.npz`` similarity index is caught up the same way, each
-    record's vectors added past the index's own watermark.  Exactly-once:
-    records at or below a watermark are never re-applied, and re-running
-    recovery after it completed (or crashed) is a no-op for everything
-    already applied.  Streams replay in name order (ids are only ordered
-    *within* a stream).
+    tails) and hands each pending record to the live loop's own
+    :func:`~repro.experiments.streaming.apply_batch` and
+    :func:`~repro.experiments.streaming.commit_batch` (see the module
+    docstring), so a checkpoint generation is rotated per replayed batch.
+    A sibling ``<stem>.index.npz`` similarity index is caught up by the
+    same commit, each record's vectors added past the index's own
+    watermark.  Exactly-once: records at or below a watermark are never
+    re-applied, and re-running recovery after it completed (or crashed) is
+    a no-op for everything already applied.  Streams replay in name order
+    (ids are only ordered *within* a stream).
 
     Returns a :class:`RecoveryReport`; ``n_replayed == 0`` means the
     checkpoint was already current.
     """
-    from ..stream import incremental_update  # heavy import, deferred
+    # Deferred: repro.experiments.streaming imports this package.
+    from ..experiments.streaming import (apply_batch, commit_batch,
+                                         load_sibling_index)
 
     path = Path(checkpoint_path)
     report = RecoveryReport(checkpoint=str(path))
@@ -216,64 +163,43 @@ def recover_checkpoint(checkpoint_path: str | Path, wal_dir: str | Path, *,
 
     model = load_checkpoint(path)
     metadata = dict(model.checkpoint_header_.get("metadata", {}))
-    applied = wal_applied(metadata)
-    report.wal_applied = dict(applied)
-    sibling = _sibling_index(path, applied)
+    report.wal_applied = wal_applied(metadata)
+    index, index_metadata = load_sibling_index(path, metadata)
     for namespace in namespaces:
         stream = namespace.stem
         wal = WriteAheadLog(namespace)
         try:
             report.truncated_bytes += wal.truncated_bytes_
-            watermark = applied.get(stream, 0)
-            index_mark = watermark
-            if sibling is not None:
-                index_mark = sibling[3].get(stream, 0)
-            replay_from = min(watermark, index_mark)
-            for record in wal.replay(after=replay_from,
+            watermark = wal_applied(metadata).get(stream, 0)
+            index_mark = watermark if index is None else \
+                wal_applied(index_metadata).get(stream, 0)
+            for record in wal.replay(after=min(watermark, index_mark),
                                      on_corruption="stop"):
-                if record.batch_id > watermark:
-                    action = str(record.meta.get("action", "update"))
-                    if action == "refit":
-                        model = _replay_refit(record, metadata)
-                    elif action in ("update", "fit"):
-                        kwargs = {key: record.meta[key]
-                                  for key in _REPLAY_KWARGS
-                                  if record.meta.get(key) is not None}
-                        incremental_update(model, record.arrays["X"],
-                                           **kwargs)
-                    else:
-                        raise WALError(
-                            f"record {record.batch_id} in {namespace} has "
-                            f"unknown action {action!r}; refusing to guess "
-                            "how to replay it")
-                    watermark = record.batch_id
-                    stamp_wal_metadata(metadata, stream=stream,
-                                       batch_id=watermark)
-                    rotate_checkpoint(path, model, metadata=metadata,
-                                      keep=keep)
+                applying = record.batch_id > watermark
+                adding = index is not None and record.batch_id > index_mark
+                if applying:
+                    # Records without an algorithm of their own refit with
+                    # the checkpoint's.
+                    record.meta = {"algorithm": metadata.get("algorithm"),
+                                   **record.meta}
+                    model, _ = apply_batch(model, record)
+                report.pruned_segments += len(commit_batch(
+                    path, model if applying else None, metadata, record,
+                    keep=keep, wal=wal, index=index if adding else None,
+                    index_metadata=index_metadata))
+                if applying:
                     # Reload so the replay trajectory equals an ingestion
                     # loop that round-trips after every batch (bit-for-bit
                     # parity).
                     model = load_checkpoint(path)
                     metadata = dict(
                         model.checkpoint_header_.get("metadata", {}))
-                    report.replayed.setdefault(stream, []).append(watermark)
-                if sibling is not None and record.batch_id > index_mark:
-                    index_path, index, index_meta, index_marks = sibling
-                    index.add(record.arrays["X"])
-                    index_mark = record.batch_id
-                    stamp_wal_metadata(index_meta, stream=stream,
-                                       batch_id=index_mark)
-                    rotate_checkpoint(index_path, index,
-                                      metadata=index_meta, keep=keep)
-                    index_marks[stream] = index_mark
+                    report.replayed.setdefault(stream, []).append(
+                        record.batch_id)
+                if adding:
                     report.index_replayed.setdefault(stream, []).append(
-                        index_mark)
-            applied[stream] = watermark
-            report.wal_applied[stream] = watermark
-            wal.rotate_segment()
-            report.pruned_segments += len(wal.prune(min(watermark,
-                                                        index_mark)))
+                        record.batch_id)
+            report.wal_applied[stream] = wal_applied(metadata).get(stream, 0)
         finally:
             wal.close()
     if report.n_replayed or report.truncated_bytes:

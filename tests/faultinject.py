@@ -9,10 +9,13 @@ Dual-purpose module:
   :func:`member_data_offsets`) shared by the unit and
   property tests;
 * executed as a script (``python faultinject.py --dir ...``), it is the
-  *worker*: a real ingestion loop (journal-first WAL discipline, exactly
-  the one ``repro stream --wal-dir`` uses) that SIGKILLs itself at a
-  named point, so every crash is a genuine process death — no mocks, no
-  exception-based pretend crashes.
+  *worker*: a real ingestion loop that SIGKILLs itself at a named
+  point, so every crash is a genuine process death — no mocks, no
+  exception-based pretend crashes.  It journals each batch first, then
+  calls the two functions ``repro stream --wal-dir``, ``repro update`` and
+  recovery share (:func:`repro.experiments.streaming.apply_batch`, then
+  :func:`~repro.experiments.streaming.commit_batch`), so the matrix tests
+  the code that ships; the kill points sit between those steps.
 
 The invariant every scenario asserts: after a crash at *any* kill point
 followed by repair + restart, the live checkpoint is **bit-for-bit**
@@ -31,11 +34,12 @@ Kill points (all fire while ingesting batch ``--kill-batch``):
     process dies.  The batch was never acknowledged; recovery must
     truncate the tail and the restarted loop re-journals it.
 ``between-update-and-rotate``
-    The model was updated in memory but no checkpoint generation was
-    rotated: the durable state still lacks the batch; recovery replays it.
+    ``apply_batch`` updated the model in memory but ``commit_batch`` never
+    ran: the durable state still lacks the batch; recovery replays it.
 ``mid-rotate``
-    Death inside the checkpoint's atomic write: an orphaned ``*.tmp``
-    file is left next to an intact previous generation.
+    Death inside the checkpoint's atomic write, just before
+    ``commit_batch``: an orphaned ``*.tmp`` file is left next to an intact
+    previous generation.
 """
 
 from __future__ import annotations
@@ -52,18 +56,12 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.serialize import (
-    load_checkpoint,
-    read_checkpoint_header,
-    rotate_checkpoint,
-)
-from repro.stream import incremental_update
-from repro.tasks.base import make_clusterer
+from repro.experiments.streaming import apply_batch, commit_batch
+from repro.serialize import load_checkpoint, read_checkpoint_header
 from repro.wal import (
     WriteAheadLog,
     recover_checkpoint,
     repair_directory,
-    stamp_wal_metadata,
     wal_applied,
     wal_namespace,
 )
@@ -162,22 +160,26 @@ def _worker(workdir: Path, algorithm: str, n_batches: int,
     checkpoint, wal_dir, namespace = _paths(workdir)
     X0, batches = make_batches(n_batches)
 
-    if not checkpoint.exists():
-        model = make_clusterer(algorithm, N_CLUSTERS, seed=SEED)
-        model.fit(X0)
-        wal = WriteAheadLog(namespace)
-        metadata = {"algorithm": algorithm, "seed": SEED,
-                    "wal_applied": {STREAM_NAME: wal.last_batch_id},
-                    "wal_updates_applied": 0}
-        rotate_checkpoint(checkpoint, model, metadata=metadata)
-        wal.close()
-    else:
+    if checkpoint.exists():
         # Restart-after-crash: replay whatever the journal holds beyond
         # the checkpoint's watermark before ingesting anything new.
         recover_checkpoint(checkpoint, wal_dir)
 
     wal = WriteAheadLog(namespace)
     try:
+        if not checkpoint.exists():
+            # The initial fit is a refit on an empty history.  Like
+            # run_stream_scenario's, it is stamped at the journal's tail
+            # and never journaled itself.
+            initial = WALRecord(
+                batch_id=0, arrays={"X": X0, "X_seen": X0[:0]},
+                meta={"seed": SEED, "action": "refit",
+                      "algorithm": algorithm, "n_clusters": N_CLUSTERS})
+            model, _ = apply_batch(None, initial)
+            commit_batch(checkpoint, model, {
+                "algorithm": algorithm, "seed": SEED,
+                "wal_applied": {STREAM_NAME: wal.last_batch_id},
+                "wal_updates_applied": 0}, initial, keep=3)
         while True:
             model = load_checkpoint(checkpoint)
             metadata = dict(model.checkpoint_header_.get("metadata", {}))
@@ -185,24 +187,23 @@ def _worker(workdir: Path, algorithm: str, n_batches: int,
             if applied >= n_batches:
                 break
             batch_id = applied + 1
-            Xb = batches[batch_id - 1]
             killing = kill_point is not None and batch_id == kill_batch
             refitting = batch_id == refit_batch
             # Refit records must be reproducible from the journal alone:
             # full pre-batch history plus the clusterer context (the same
             # discipline run_stream_scenario uses).
-            arrays = {"X": Xb}
-            meta = {"seed": SEED, "action": "refit" if refitting else
-                    "update", "algorithm": algorithm,
-                    "n_clusters": N_CLUSTERS}
+            record = WALRecord(
+                batch_id=batch_id, arrays={"X": batches[batch_id - 1]},
+                meta={"seed": SEED, "action": "refit" if refitting else
+                      "update", "algorithm": algorithm,
+                      "n_clusters": N_CLUSTERS})
             if refitting:
-                arrays["X_seen"] = np.vstack([X0] + batches[:batch_id - 1])
+                record.arrays["X_seen"] = np.vstack(
+                    [X0] + batches[:batch_id - 1])
 
             if killing and kill_point == "mid-wal-append":
                 # Write only half of the encoded record, then die: the
                 # classic torn write at the journal tail.
-                record = WALRecord(batch_id=batch_id, arrays=arrays,
-                                   meta=meta)
                 data = encode_record(record)
                 handle = wal._writable_handle(batch_id)
                 handle.write(data[:len(data) // 2])
@@ -210,20 +211,13 @@ def _worker(workdir: Path, algorithm: str, n_batches: int,
                 os.fsync(handle.fileno())
                 _die()
 
-            wal.append(arrays, meta=meta)
+            wal.append(record.arrays, meta=record.meta)
             if killing and kill_point == "after-wal-append":
                 _die()
 
-            if refitting:
-                model = make_clusterer(algorithm, N_CLUSTERS, seed=SEED)
-                model.fit(np.vstack([X0] + batches[:batch_id]))
-            else:
-                incremental_update(model, Xb, seed=SEED)
+            model, _ = apply_batch(model, record)
             if killing and kill_point == "between-update-and-rotate":
                 _die()
-
-            stamp_wal_metadata(metadata, stream=STREAM_NAME,
-                               batch_id=batch_id)
             if killing and kill_point == "mid-rotate":
                 # Die "inside" the atomic write: the temp file exists but
                 # was never fsync'd or renamed over the live checkpoint.
@@ -231,9 +225,8 @@ def _worker(workdir: Path, algorithm: str, n_batches: int,
                 orphan.write_bytes(b"\x00" * 64)
                 _die()
 
-            rotate_checkpoint(checkpoint, model, metadata=metadata)
-            wal.rotate_segment()
-            wal.prune(batch_id)
+            commit_batch(checkpoint, model, metadata, record, keep=3,
+                         wal=wal)
     finally:
         wal.close()
     return 0

@@ -338,6 +338,29 @@ class TestUpdateCommand:
         assert model.checkpoint_header_["metadata"]["generation"] == 1
         assert model.n_seen_ > 40  # absorbed the generated batch
 
+    def test_update_keeps_sibling_index_in_step(self, tmp_path, capsys):
+        from repro.serialize import load_checkpoint, read_checkpoint_header
+
+        target = tmp_path / "stream.npz"
+        index_path = tmp_path / "stream.index.npz"
+        wal_dir = tmp_path / "wal"
+        assert main(["stream", "schema_inference", "--scale", "test",
+                     "--batches", "2", "--save", str(target),
+                     "--with-index", "ivf", "--wal-dir", str(wal_dir),
+                     "--format", "json"]) == 0
+        before = load_checkpoint(index_path).size
+        for _ in range(2):
+            assert main(["update", str(target), "--data", "webtables",
+                         "--scale", "test", "--wal-dir", str(wal_dir),
+                         "--format", "json"]) == 0
+        capsys.readouterr()
+        model_meta = read_checkpoint_header(target)["metadata"]
+        index_meta = read_checkpoint_header(index_path)["metadata"]
+        assert model_meta["wal_applied"] == {"stream": 2, "updates": 2}
+        assert index_meta["wal_applied"] == model_meta["wal_applied"]
+        assert load_checkpoint(index_path).size == \
+            before + 2 * model_meta["n_items"]
+
     def test_update_rejects_wrong_task_dataset(self, tmp_path, capsys):
         target = tmp_path / "web.npz"
         assert main(["train", "schema_inference", "--dataset", "webtables",

@@ -569,6 +569,76 @@ class TestStreamScenario:
         assert np.array_equal(baseline.predict(queries),
                               recovered.predict(queries))
 
+    @pytest.mark.parametrize("refit", [False, True],
+                             ids=["updates", "refit"])
+    def test_live_loop_equals_its_replay_byte_for_byte(self, tmp_path,
+                                                       refit):
+        """The live loop never reloads its model; recovery reloads between
+        batches.  Replaying the journal onto generation 0 must still land
+        on the live run's final files, byte for byte."""
+        import shutil
+
+        from repro.serialize import read_checkpoint_header
+        from repro.wal import recover_checkpoint
+
+        n_batches = 3
+        live = tmp_path / "live" / "stream.npz"
+        wal_dir = tmp_path / "live" / "wal"
+        monitor = (DriftMonitor(shift_threshold=1e-6, silhouette_drop=1e-6)
+                   if refit else
+                   DriftMonitor(shift_threshold=1e9, silhouette_drop=1e9))
+        steps = run_stream_scenario(
+            "schema_inference", dataset=generate_webtables(60, 8, seed=7),
+            algorithm="kmeans", n_batches=n_batches, seed=7, save_path=live,
+            keep_generations=n_batches + 1, monitor=monitor,
+            with_index="ivf", wal_dir=wal_dir)
+        actions = {step.action for step in steps[1:]}
+        assert ("refit" in actions) == refit
+
+        replay = tmp_path / "replay" / "stream.npz"
+        replay.parent.mkdir()
+        for name in ("stream.npz", "stream.index.npz"):
+            generation_0 = checkpoint_generations(live.with_name(name))[0]
+            assert read_checkpoint_header(generation_0)["metadata"][
+                "generation"] == 0
+            shutil.copy2(generation_0, replay.with_name(name))
+        shutil.copytree(wal_dir, replay.parent / "wal")
+        report = recover_checkpoint(replay, replay.parent / "wal",
+                                    keep=n_batches + 1)
+        assert report.n_replayed == report.n_index_replayed == n_batches
+
+        for name in ("stream.npz", "stream.index.npz"):
+            want, got = live.with_name(name), replay.with_name(name)
+            assert read_checkpoint_header(got)["metadata"]["wal_applied"] \
+                == read_checkpoint_header(want)["metadata"]["wal_applied"]
+            with np.load(want) as expected, np.load(got) as actual:
+                assert expected.files == actual.files
+                for key in expected.files:
+                    if key != "__header__":
+                        assert expected[key].tobytes() == \
+                            actual[key].tobytes(), (name, key)
+        expected = load_checkpoint(live.with_name("stream.index.npz"))
+        actual = load_checkpoint(replay.with_name("stream.index.npz"))
+        queries = np.random.default_rng(5).normal(size=(6, expected.dim))
+        for want, got in zip(expected.query(queries, 5),
+                             actual.query(queries, 5)):
+            assert want.tobytes() == got.tobytes()
+
+    def test_scenario_checks_save_path_before_any_work(self, tmp_path,
+                                                       monkeypatch):
+        import repro.experiments.streaming as streaming
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(streaming, "make_clusterer", no_fit)
+        for kwargs in ({"wal_dir": tmp_path / "wal"}, {"with_index": "flat"}):
+            with pytest.raises(StreamingError, match="save path"):
+                run_stream_scenario(
+                    "schema_inference",
+                    dataset=generate_webtables(40, 8, seed=7), n_batches=2,
+                    seed=7, **kwargs)
+
     def test_scenario_rejects_corpus_dependent_embeddings(self):
         with pytest.raises(StreamingError):
             run_stream_scenario(

@@ -190,6 +190,21 @@ class TestJournal:
         assert names == ["segment-0000000000000001.wal",
                          "segment-0000000000000002.wal"]
 
+    def test_one_shot_writers_seal_segments_by_size(self, tmp_path):
+        """Whether an append starts a new segment is read from the last
+        segment on disk, so writers that live for one append each (repro
+        update, recovery) seal segments and prune frees them."""
+        namespace = tmp_path / "ns.wal"
+        for _ in range(8):
+            with WriteAheadLog(namespace) as wal:
+                last = wal.append({"X": np.zeros(2**17)})  # 1 MiB
+        with WriteAheadLog(namespace) as wal:
+            segments = wal.segments()
+            assert len(segments) >= 2
+            assert wal.prune(last) == segments[:-1]
+            assert wal.segments() == segments[-1:]
+            assert [record.batch_id for record in wal.replay()][-1] == last
+
     def test_torn_tail_healed_on_open(self, tmp_path):
         namespace = tmp_path / "ns.wal"
         with WriteAheadLog(namespace) as wal:
