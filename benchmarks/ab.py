@@ -33,6 +33,17 @@ and ``bound`` of ``BENCHMARK.json``:
   with more failures, or one side's interquartile range is wider than
   the bound, so the runs cannot show a gain or that the metric held;
 * ``same`` — none of these.
+
+Next to each side's spread it writes the paired one: the median and
+quartiles of the per-pair ratio head/base (``paired``), which cancels
+what the two runs of a pair share, such as the seed.  From that spread
+``pairs_needed`` estimates how many pairs pin the median ratio to within
+the bound (``same``), and whether ten pairs can show the gain
+(``better``: ten, or ``None`` when the head is not ahead or the spread
+puts its per-pair win rate below 9 in 10, which no count of pairs
+mends).  The estimates are normal approximations, for planning a run;
+the verdicts above do not use them, and a side whose own spread is wider
+than the bound stays ``unresolved`` whatever the count.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -56,6 +68,8 @@ WIN_SHARE = 0.9
 MIN_PAIRS = 10
 #: Workload seed of pair 0; pair ``i`` runs with ``FIRST_SEED + i``.
 FIRST_SEED = 41
+#: Two-sided 95% normal quantile, for ``pairs_needed``.
+Z_95 = NormalDist().inv_cdf(0.975)
 
 
 def resolve(rev: str) -> str:
@@ -120,6 +134,29 @@ def _spread(values: list[float]) -> dict:
             "iqr": float(q3 - q1)}
 
 
+def paired(spec: dict, base: list[float], head: list[float]) -> dict | None:
+    """Spread of the per-pair ratio head/base and the pairs it needs.
+
+    The ratio's IQR gives a normal sigma (``iqr / 1.349``).  The median
+    of ``n`` ratios has standard error ``1.2533 * sigma / sqrt(n)``, so
+    ``(Z_95 * 1.2533 * sigma / bound)**2`` pairs pin it to within the
+    bound.  A pair is won with probability ``Phi(gain / sigma)``; below
+    ``WIN_SHARE`` no number of pairs reads ``better``.  ``None`` when no
+    pair has a non-zero base.
+    """
+    ratios = [h / b for b, h in zip(base, head) if b]
+    if not ratios:
+        return None
+    spread = _spread(ratios)
+    sigma = spread["iqr"] / 1.349
+    sign = 1.0 if spec["better"] == "higher" else -1.0
+    gain = sign * (spread["median"] - 1.0)
+    same = max(1, math.ceil((Z_95 * 1.2533 * sigma / spec["bound"]) ** 2))
+    wins = gain > 0 and (sigma == 0 or NormalDist().cdf(gain / sigma) >= WIN_SHARE)
+    return {**spread, "pairs_needed": {
+        "same": same, "better": MIN_PAIRS if wins else None}}
+
+
 def failed_share(run: dict) -> float:
     return run["failed"] / run["attempted"] if run["attempted"] else 0.0
 
@@ -151,6 +188,7 @@ def verdict(spec: dict, base: list[float], head: list[float],
             "bound": spec["bound"], "base": b, "head": h,
             "relative_change": ((h["median"] - b["median"]) / b["median"]
                                 if b["median"] else None),
+            "paired": paired(spec, base, head),
             "wins": int(wins), "pairs": len(base), "verdict": call}
 
 
@@ -215,9 +253,14 @@ def main(argv: list[str] | None = None) -> int:
     path = args.out / f"AB_{args.workload}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     for name, entry in report["metrics"].items():
+        ratio = entry["paired"]
+        spread = ("" if ratio is None else
+                  f" ratio {ratio['median']:.3f} (IQR {ratio['iqr']:.3f}; "
+                  f"pairs for same {ratio['pairs_needed']['same']}, "
+                  f"better {ratio['pairs_needed']['better']})")
         print(f"{name:>10}: base {entry['base']['median']:.4g} "
               f"head {entry['head']['median']:.4g} wins "
-              f"{entry['wins']}/{entry['pairs']} {entry['verdict']}")
+              f"{entry['wins']}/{entry['pairs']} {entry['verdict']}{spread}")
     print(f"wrote {path}")
     return 0
 

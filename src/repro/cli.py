@@ -90,6 +90,7 @@ from .config import (
 from .data.profiles import DatasetProfile
 from .exceptions import ReproError
 from .index.base import INDEX_BACKENDS
+from .serve.batching import DEFAULT_MAX_DELAY
 from .experiments import (
     EXPERIMENTS,
     NON_MATRIX_RESULTS,
@@ -275,9 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--batch-rows", type=int, default=256,
                            help="micro-batch row cap per forward pass "
                                 "(default: 256)")
-    serve_cmd.add_argument("--batch-delay-ms", type=float, default=2.0,
-                           help="micro-batch linger in milliseconds; 0 "
-                                "never lingers (default: 2.0)")
+    serve_cmd.add_argument("--batch-delay-ms", type=float,
+                           default=DEFAULT_MAX_DELAY * 1000.0,
+                           help="micro-batch linger in milliseconds; at 0 "
+                                "the batcher drains without waiting, and "
+                                "requests that queue during a forward "
+                                "share the next (default: %(default)s)")
     serve_cmd.add_argument("--reload-ms", type=float, default=1000.0,
                            help="poll interval for hot-reloading rotated "
                                 "checkpoints, in milliseconds "
@@ -823,6 +827,20 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
+    if args.wal_dir is None:
+        return _update_checkpoint(args)
+    from .wal import recover_checkpoint, recovery_lock
+
+    # Exactly-once: batches journaled but never applied (a crash between
+    # append and rotate) are replayed before this batch is appended, and
+    # the lock keeps a booting server's recovery from replaying it too.
+    with recovery_lock(args.wal_dir):
+        recover_checkpoint(args.checkpoint, args.wal_dir,
+                           keep=args.keep_generations)
+        return _update_checkpoint(args)
+
+
+def _update_checkpoint(args: argparse.Namespace) -> int:
     from .experiments.runner import build_dataset
     from .experiments.streaming import (_EMBED_FNS, STREAMABLE_EMBEDDINGS,
                                         apply_batch, commit_batch,

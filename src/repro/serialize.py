@@ -67,6 +67,10 @@ CHECKPOINT_VERSION = 1
 
 _ARRAY_PREFIX = "array."
 
+#: Raised as they are by the loaders: our own errors, and failures of the
+#: interpreter (not of the file) that must not read as a corrupt checkpoint.
+_NOT_ABOUT_THE_FILE = (SerializationError, SystemError, MemoryError)
+
 
 def checkpointable_classes() -> dict[str, type]:
     """Mapping of checkpointable class names to their classes.
@@ -305,7 +309,7 @@ def _open_members(source: Path):
         except BaseException:
             members.close()
             raise
-    except SerializationError:
+    except _NOT_ABOUT_THE_FILE:
         raise
     except Exception as exc:  # zipfile.BadZipFile, OSError, KeyError, ...
         raise SerializationError(
@@ -361,7 +365,7 @@ def load_checkpoint(path: str | Path):
                       for name in members.files
                       if name.startswith(_ARRAY_PREFIX)}
         model = cls.from_checkpoint(header["params"], arrays)
-    except SerializationError:
+    except _NOT_ABOUT_THE_FILE:
         members.close()
         raise
     except Exception as exc:

@@ -3,13 +3,17 @@
 Single-row predictions are overhead-dominated — the fixed cost of a forward
 pass (python dispatch, distance-matrix setup, encoder layers) dwarfs the
 per-row cost.  :class:`MicroBatcher` exploits that: concurrent callers hand
-their rows to a collector thread which lingers for at most ``max_delay``
-seconds (bounded latency), takes what arrived (bounded by
+their rows to a collector thread which takes what has queued (bounded by
 ``max_batch_rows``), stacks the rows of each request key into one matrix,
 runs the model's ``predict`` once per key, and hands each caller its
-slice of the result.  A key holds the per-request arguments stacked rows
-must share (a vector index's ``k`` and tunables), so one batcher serves
-every request a loaded model or index answers.
+slice of the result.  By default the collector drains: it dispatches the
+moment a request is queued and never lingers, and the requests that
+arrive while a forward runs form the next tick, so batching grows with
+load and an idle server adds no wait.  ``max_delay`` above 0 makes it
+linger up to that long for more requests after the first one.  A key
+holds the per-request arguments stacked rows must share (a vector
+index's ``k`` and tunables), so one batcher serves every request a
+loaded model or index answers.
 
 The same pattern drives throughput-first model serving systems; here it is
 implemented with nothing but :mod:`threading` so the stdlib HTTP server's
@@ -30,7 +34,10 @@ from ..exceptions import ServingError
 from ..obs.metrics import get_registry, obs_enabled
 from ..obs.trace import current_trace
 
-__all__ = ["BatchStats", "MicroBatcher"]
+__all__ = ["DEFAULT_MAX_DELAY", "BatchStats", "MicroBatcher"]
+
+#: Default linger (seconds) of every serving layer's batcher: drain-only.
+DEFAULT_MAX_DELAY = 0.0
 
 
 @dataclass
@@ -87,14 +94,16 @@ class MicroBatcher:
         Upper bound on the rows stacked into one forward pass.
     max_delay:
         Maximum time (seconds) the collector lingers for more requests
-        after the first one arrives — the latency bound.
+        after the first one arrives.  The default, 0, never lingers:
+        requests that queue while a forward runs still share the next.
     name:
         Optional label for diagnostics (the serving layer uses the model
         name).
     """
 
     def __init__(self, predict_fn: Callable[..., np.ndarray], *,
-                 max_batch_rows: int = 256, max_delay: float = 0.002,
+                 max_batch_rows: int = 256,
+                 max_delay: float = DEFAULT_MAX_DELAY,
                  name: str | None = None) -> None:
         if max_batch_rows < 1:
             raise ServingError("max_batch_rows must be >= 1")

@@ -81,9 +81,13 @@ def classify_exception(exc: Exception) -> tuple[int, str]:
     prevented is 400 ``bad_request``, resolution failures are 404
     ``not_found``, storage damage is 500 ``checkpoint_corrupt`` (an
     intact checkpoint of a retired class is 400: rebuilding it is the
-    caller's fix), and anything unrecognised is a 400 shape/validation
-    error (models raise plain ``ValueError`` for malformed matrices).
+    caller's fix), a failure of the interpreter (``SystemError``,
+    ``MemoryError``) is 500 ``internal``, and anything unrecognised is a
+    400 shape/validation error (models raise plain ``ValueError`` for
+    malformed matrices).
     """
+    if isinstance(exc, (SystemError, MemoryError)):
+        return (500, "internal")
     if isinstance(exc, ServingError):
         return ((404, "not_found") if "no model named" in str(exc)
                 else (400, "bad_request"))

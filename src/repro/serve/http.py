@@ -77,6 +77,7 @@ from urllib.parse import parse_qs
 
 from ..obs.metrics import get_registry, obs_enabled, render_prometheus
 from ..obs.trace import TRACE_HEADER, request_trace, valid_trace_id
+from .batching import DEFAULT_MAX_DELAY
 from .errors import classify_exception, default_code, error_envelope
 from .jobs import JobManager
 from .registry import ModelRegistry
@@ -446,7 +447,8 @@ class _Handler(BaseHandler):
 
 def create_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                   port: int = 8000, max_loaded: int = 4,
-                  max_batch_rows: int = 256, max_delay: float = 0.002,
+                  max_batch_rows: int = 256,
+                  max_delay: float = DEFAULT_MAX_DELAY,
                   reload_interval: float | None = None,
                   wal_dir: str | Path | None = None,
                   identity: dict | None = None,

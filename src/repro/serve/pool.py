@@ -48,6 +48,7 @@ from pathlib import Path
 from ..exceptions import ServingError
 from ..obs.logging import get_logger, set_log_context
 from ..obs.metrics import get_registry
+from .batching import DEFAULT_MAX_DELAY
 
 __all__ = ["WorkerConfig", "WorkerPool", "shard_for"]
 
@@ -83,7 +84,7 @@ class WorkerConfig:
     host: str = "127.0.0.1"
     max_loaded: int = 4
     max_batch_rows: int = 256
-    max_delay: float = 0.002
+    max_delay: float = DEFAULT_MAX_DELAY
     reload_interval: float | None = None
 
 
@@ -156,7 +157,8 @@ class WorkerPool:
 
     def __init__(self, model_dir: str | Path, *, n_workers: int,
                  host: str = "127.0.0.1", max_loaded: int = 4,
-                 max_batch_rows: int = 256, max_delay: float = 0.002,
+                 max_batch_rows: int = 256,
+                 max_delay: float = DEFAULT_MAX_DELAY,
                  reload_interval: float | None = None,
                  wal_dir: str | Path | None = None,
                  start_method: str | None = None) -> None:

@@ -47,6 +47,7 @@ from pathlib import Path
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry, merge_snapshots, render_prometheus
 from ..obs.trace import TRACE_HEADER, get_trace_store, record_span
+from .batching import DEFAULT_MAX_DELAY
 from .http import (_PROMETHEUS_CONTENT_TYPE, BaseHandler, parse_json_body,
                    query_flag, query_value)
 from .jobs import JobManager
@@ -421,7 +422,8 @@ class _RouterHandler(BaseHandler):
 def create_pool_server(model_dir: str | Path, *, host: str = "127.0.0.1",
                        port: int = 8000, workers: int = 2,
                        max_inflight: int = 64, max_loaded: int = 4,
-                       max_batch_rows: int = 256, max_delay: float = 0.002,
+                       max_batch_rows: int = 256,
+                       max_delay: float = DEFAULT_MAX_DELAY,
                        reload_interval: float | None = None,
                        wal_dir: str | Path | None = None,
                        start_method: str | None = None,

@@ -32,7 +32,7 @@ from ..exceptions import ServingError
 from ..index import VectorIndex
 from ..obs.metrics import get_registry, obs_enabled
 from ..obs.trace import get_trace_store, span
-from .batching import MicroBatcher
+from .batching import DEFAULT_MAX_DELAY, MicroBatcher
 from .registry import LoadedModel, ModelRegistry
 
 __all__ = ["PredictService"]
@@ -64,12 +64,15 @@ class PredictService:
         The model registry to resolve names against.
     max_batch_rows, max_delay:
         Micro-batching knobs, applied to every model's batcher; see
-        :class:`~repro.serve.batching.MicroBatcher`.  ``max_delay=0`` still
-        coalesces whatever is queued concurrently but never lingers.
+        :class:`~repro.serve.batching.MicroBatcher`.  The default
+        ``max_delay`` (0) never lingers: a batcher dispatches as soon as a
+        request queues, and requests that queue while a forward runs share
+        the next one.  A ``max_delay`` above 0 adds a linger.
     """
 
     def __init__(self, registry: ModelRegistry, *,
-                 max_batch_rows: int = 256, max_delay: float = 0.002,
+                 max_batch_rows: int = 256,
+                 max_delay: float = DEFAULT_MAX_DELAY,
                  identity: dict | None = None) -> None:
         self.registry = registry
         self.max_batch_rows = max_batch_rows

@@ -46,6 +46,7 @@ from .recovery import (
     RecoveryReport,
     recover_checkpoint,
     recover_model_dir,
+    recovery_lock,
     stamp_wal_metadata,
     wal_applied,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "iter_records",
     "recover_checkpoint",
     "recover_model_dir",
+    "recovery_lock",
     "repair_directory",
     "replay_wal",
     "scan_records",

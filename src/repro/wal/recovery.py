@@ -62,7 +62,7 @@ from .journal import WriteAheadLog
 _LOG = get_logger("recovery")
 
 __all__ = ["RecoveryReport", "recover_checkpoint", "recover_model_dir",
-           "stamp_wal_metadata", "wal_applied"]
+           "recovery_lock", "stamp_wal_metadata", "wal_applied"]
 
 def wal_applied(metadata: dict) -> dict[str, int]:
     """The per-stream applied watermark stamped in checkpoint metadata."""
@@ -231,7 +231,7 @@ def recover_model_dir(model_dir: str | Path, wal_dir: str | Path, *,
     recovery instead of replaying the same journal concurrently.  Because
     replay is idempotent the second pass then finds nothing to do.
     """
-    with _recovery_lock(wal_dir):
+    with recovery_lock(wal_dir):
         reports = []
         for path in sorted(Path(model_dir).glob("*.npz")):
             if path.stem.startswith("."):
@@ -243,13 +243,16 @@ def recover_model_dir(model_dir: str | Path, wal_dir: str | Path, *,
 
 
 @contextmanager
-def _recovery_lock(wal_dir: str | Path):
-    """Advisory inter-process lock for directory-wide recovery.
+def recovery_lock(wal_dir: str | Path):
+    """Advisory inter-process lock for recovery and journal writers.
 
-    ``fcntl.flock`` where available (released automatically even on
-    SIGKILL, so a crashed recovery never wedges the next boot); a no-op on
-    platforms without it — recovery stays correct either way, the lock
-    only removes duplicated replay work.
+    ``recover_model_dir`` holds it for a directory-wide recovery, and
+    ``repro update --wal-dir`` while it replays a pending suffix, then
+    appends and applies its own batch.  ``fcntl.flock`` where available
+    (released automatically even on SIGKILL, so a crashed recovery never
+    wedges the next boot); a no-op on platforms without it — recovery
+    stays correct either way, the lock only removes duplicated replay
+    work.
     """
     try:
         import fcntl

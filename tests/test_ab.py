@@ -139,3 +139,63 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert ab.verdict(spec, base, head)["verdict"] == "unresolved"
     tight = [200.0, 201.0, 199.0, 200.5, 199.5]
     assert ab.verdict(spec, tight, tight)["verdict"] == "same"
+
+
+def test_paired_ratio_spread_and_pairs_needed():
+    spec = {"better": "lower", "bound": 0.25}
+    # The seed moves both sides alike: each side spreads 10-19, but the
+    # head is 0.8 of its base in every pair but one.
+    base = [10.0, 12.0, 14.0, 16.0, 18.0, 11.0, 13.0, 15.0, 17.0, 19.0]
+    head = [0.8 * b for b in base]
+    head[9] = 0.9 * base[9]
+    report = ab.verdict(spec, base, head)
+    ratio = report["paired"]
+    assert ratio["median"] == pytest.approx(0.8)
+    assert (ratio["q1"], ratio["q3"]) == (pytest.approx(0.8),
+                                          pytest.approx(0.8))
+    assert ratio["iqr"] == pytest.approx(0.0)
+    # No spread: one pair pins the ratio, and a gain needs the ten-pair floor.
+    assert ratio["pairs_needed"] == {"same": 1, "better": ab.MIN_PAIRS}
+    # Each side's own spread is far wider than the paired one.
+    assert report["base"]["iqr"] == pytest.approx(4.5)
+
+
+def test_pairs_needed_grows_with_the_paired_spread():
+    spec = {"better": "higher", "bound": 0.25}
+    base = [100.0] * 8
+    # Ratios 0.7..1.4: IQR 0.35, sigma 0.259; (1.96 * 1.2533 * 0.259 /
+    # 0.25)**2 = 6.5, so seven pairs pin the median within the bound.
+    head = [70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0]
+    ratio = ab.verdict(spec, base, head)["paired"]
+    assert ratio["median"] == pytest.approx(1.05)
+    assert ratio["iqr"] == pytest.approx(0.35)
+    assert ratio["pairs_needed"]["same"] == 7
+    # A 5% gain against that spread wins fewer than 9 pairs in 10.
+    assert ratio["pairs_needed"]["better"] is None
+    # A 10% gain with IQR 0.06 (sigma 0.044) wins 99% of pairs: ten do.
+    head = [110.0, 104.0, 116.0, 112.0, 108.0, 120.0, 100.0, 110.0]
+    ratio = ab.verdict(spec, base, head)["paired"]
+    assert ratio["iqr"] == pytest.approx(0.06)
+    assert ratio["pairs_needed"] == {"same": 1, "better": ab.MIN_PAIRS}
+    # The same gain with IQR 0.25 (sigma 0.185) wins 71%: never enough.
+    head = [110.0, 90.0, 130.0, 120.0, 100.0, 140.0, 80.0, 110.0]
+    ratio = ab.verdict(spec, base, head)["paired"]
+    assert ratio["median"] == pytest.approx(1.1)
+    assert ratio["iqr"] == pytest.approx(0.25)
+    assert ratio["pairs_needed"] == {"same": 4, "better": None}
+    # A head that is behind has no gain to resolve.
+    ratio = ab.verdict(spec, base, [90.0] * 8)["paired"]
+    assert ratio["pairs_needed"]["better"] is None
+
+
+def test_paired_spread_skips_zero_bases_and_is_written_per_metric():
+    spec = {"better": "lower", "bound": 0.25}
+    assert ab.verdict(spec, [0.0, 0.0], [1.0, 2.0])["paired"] is None
+    assert ab.verdict(spec, [0.0, 2.0], [1.0, 3.0])["paired"]["median"] == \
+        pytest.approx(1.5)
+    report = ab.summarize(_pairs(*_CLEAR_GAIN), _BENCHMARK)
+    assert all(set(entry["paired"]) == {"median", "q1", "q3", "iqr",
+                                        "pairs_needed"}
+               for entry in report.values())
+    assert report["setup_s"]["paired"]["median"] == pytest.approx(8.1 / 17.5,
+                                                                  rel=0.05)

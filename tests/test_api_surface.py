@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import shutil
 import socket
 import socketserver
 import time
@@ -162,6 +163,9 @@ class TestErrorCodes:
         # raise plain ValueError for malformed matrices.
         assert classify_exception(ValueError("bad shape")) == \
             (400, "bad_request")
+        # A failure of the interpreter is the server's, not the file's.
+        for error in (SystemError, MemoryError):
+            assert classify_exception(error("boom")) == (500, "internal")
 
 
 class _SurfaceChecks:
@@ -317,6 +321,28 @@ class TestSingleServerSurface(_SurfaceChecks):
         _, port = http_server(model_dir)
         self.assert_drain_rejections_counted(port,
                                              "repro_http_requests_total")
+
+    def test_interpreter_error_at_load_is_internal(self, http_server,
+                                                   model_dir, monkeypatch):
+        """An intact checkpoint whose load hits a SystemError: 500 internal."""
+        import numpy as np
+
+        shutil.copy(REPO_ROOT / "tests" / "fixtures" / "legacy_index"
+                    / "ivfflat.npz", model_dir / "idx.npz")
+        _, port = http_server(model_dir, jobs=False)
+
+        def failing(*args, **kwargs):
+            raise SystemError("error return without exception set")
+
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", failing)
+        status, headers, data = _request(
+            port, "POST", "/v1/models/idx/neighbors",
+            b'{"vectors": [[0.0, 0.0]], "k": 1}')
+        assert status == 500
+        assert headers["Content-Type"] == "application/json"
+        error = json.loads(data)["error"]
+        assert error["code"] == "internal"
+        assert error["message"].startswith("SystemError: ")
 
 
 class TestPoolRouterSurface(_SurfaceChecks):

@@ -270,6 +270,9 @@ class TestServeParser:
         assert args.port == 8123
         assert args.batch_rows == 64
         assert args.batch_delay_ms == 1.5
+        # Without the flag the batcher drains and never lingers.
+        defaults = build_parser().parse_args(["serve", "--model-dir", "m"])
+        assert defaults.batch_delay_ms == 0.0
 
     def test_serve_requires_model_dir(self):
         with pytest.raises(SystemExit):
@@ -360,6 +363,39 @@ class TestUpdateCommand:
         assert index_meta["wal_applied"] == model_meta["wal_applied"]
         assert load_checkpoint(index_path).size == \
             before + 2 * model_meta["n_items"]
+
+    def test_update_replays_a_pending_journal_suffix_first(self, tmp_path,
+                                                           capsys):
+        """A batch journaled but never applied is applied once, in order."""
+        from repro.config import TEST_SCALE
+        from repro.experiments.runner import build_dataset
+        from repro.serialize import load_checkpoint
+        from repro.tasks import embed_tables
+        from repro.wal import WriteAheadLog, wal_namespace
+
+        target = tmp_path / "web.npz"
+        wal_dir = tmp_path / "wal"
+        assert main(["train", "schema_inference", "--dataset", "webtables",
+                     "--scale", "test", "--embedding", "sbert",
+                     "--algorithm", "kmeans", "--save", str(target),
+                     "--format", "json"]) == 0
+        n_trained = load_checkpoint(target).n_seen_
+        pending = embed_tables(
+            build_dataset("webtables", TEST_SCALE, seed=7), "sbert")[:10]
+        wal = WriteAheadLog(wal_namespace(wal_dir, "web", "updates"))
+        wal.append({"X": pending},
+                   meta={"action": "update", "epochs": 2, "seed": 7})
+        wal.close()
+        assert main(["update", str(target), "--data", "webtables",
+                     "--scale", "test", "--wal-dir", str(wal_dir),
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        model = load_checkpoint(target)
+        metadata = model.checkpoint_header_["metadata"]
+        assert metadata["wal_applied"] == {"updates": 2}
+        assert metadata["wal_updates_applied"] == 2
+        assert (n_trained, metadata["n_items"]) == (40, 40)
+        assert model.n_seen_ == 90
 
     def test_update_rejects_wrong_task_dataset(self, tmp_path, capsys):
         target = tmp_path / "web.npz"

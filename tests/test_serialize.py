@@ -340,6 +340,16 @@ class TestCorruption:
         with pytest.raises(SerializationError, match="inconsistent"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("error", [SystemError, MemoryError])
+    def test_interpreter_errors_are_not_corruption(self, error, monkeypatch):
+        """An intact file is not reported damaged when parsing it fails."""
+        def failing(*args, **kwargs):
+            raise error("not about the file")
+
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", failing)
+        with pytest.raises(error, match="not about the file"):
+            load_checkpoint(LEGACY_INDEXES / "ivfflat.npz")
+
 
 #: Index checkpoints written by the release before the IVF variants
 #: merged into one class, and the answers that release gave to ``Q``.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -209,6 +210,67 @@ class TestMicroBatcher:
         batcher.close()
         with pytest.raises(ServingError, match="closed"):
             batcher.submit(X[:1])
+
+    def test_requests_queued_during_a_forward_share_the_next(self):
+        """Default settings: the requests a forward holds up form one tick."""
+        model, X = _fitted_kmeans()
+        n_queued = 6
+        calls: list[int] = []
+        started, release = threading.Event(), threading.Event()
+
+        def predict(rows):
+            calls.append(rows.shape[0])
+            if len(calls) == 1:
+                started.set()
+                assert release.wait(10), "the first forward was never released"
+            return model.predict(rows)
+
+        results: dict[int, np.ndarray] = {}
+        with MicroBatcher(predict) as batcher:
+            def client(i):
+                results[i] = batcher.submit(X[i:i + 1])
+
+            threads = [threading.Thread(target=client, args=(0,))]
+            threads[0].start()
+            assert started.wait(10)
+            threads += [threading.Thread(target=client, args=(i,))
+                        for i in range(1, n_queued + 1)]
+            for t in threads[1:]:
+                t.start()
+            deadline = time.monotonic() + 10
+            while len(batcher._pending) < n_queued:
+                assert time.monotonic() < deadline, "submits never queued"
+                time.sleep(0.001)
+            release.set()
+            for t in threads:
+                t.join(timeout=10)
+        assert calls == [1, n_queued]
+        expected = model.predict(X[:n_queued + 1])
+        for i in range(n_queued + 1):
+            assert np.array_equal(results[i], expected[i:i + 1])
+
+    def test_every_serving_layer_drains_by_default(self, tmp_path):
+        """No layer lingers unless asked: one default, 0 s."""
+        import inspect
+
+        from repro.serve import WorkerConfig, WorkerPool, create_server
+        from repro.serve.batching import DEFAULT_MAX_DELAY
+        from repro.serve.router import create_pool_server
+
+        assert DEFAULT_MAX_DELAY == 0.0
+        with MicroBatcher(lambda rows: rows[:, 0]) as batcher:
+            assert batcher.max_delay == 0.0
+        with PredictService(ModelRegistry(tmp_path)) as service:
+            assert service.max_delay == 0.0
+        server = create_server(tmp_path, port=0, jobs=False)
+        try:
+            assert server.service.max_delay == 0.0
+        finally:
+            server.server_close()
+        assert WorkerConfig(model_dir=str(tmp_path), index=0).max_delay == 0.0
+        for build in (WorkerPool, create_pool_server):
+            assert inspect.signature(build).parameters[
+                "max_delay"].default == 0.0
 
 
 # ----------------------------------------------------------------------
