@@ -38,12 +38,13 @@ Next to each side's spread it writes the paired one: the median and
 quartiles of the per-pair ratio head/base (``paired``), which cancels
 what the two runs of a pair share, such as the seed.  From that spread
 ``pairs_needed`` estimates how many pairs pin the median ratio to within
-the bound (``same``), and whether ten pairs can show the gain
-(``better``: ten, or ``None`` when the head is not ahead or the spread
-puts its per-pair win rate below 9 in 10, which no count of pairs
+the bound (``same``), and whether ten pairs can win often enough for a
+gain (``better``: ten, or ``None`` when the head is not ahead or the
+spread puts its per-pair win rate below 9 in 10, which no count of pairs
 mends).  The estimates are normal approximations, for planning a run;
-the verdicts above do not use them, and a side whose own spread is wider
-than the bound stays ``unresolved`` whatever the count.
+the verdicts above do not use them.  A verdict still needs what the
+paired spread cannot show: a gain larger than the base's IQR, and each
+side's IQR within the bound.
 """
 
 from __future__ import annotations

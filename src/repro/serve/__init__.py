@@ -9,7 +9,8 @@ which schema cluster does it belong to?):
 * :class:`ModelRegistry` exposes a directory of named checkpoints,
   deserialised lazily and bounded by an LRU;
 * :class:`MicroBatcher` coalesces concurrent predict requests into shared
-  batched forward passes (bounded latency, bounded batch size);
+  batched forward passes (bounded batch size; by default it drains
+  without lingering, so batches grow only under load);
 * :func:`create_server` wraps both in a stdlib ``ThreadingHTTPServer`` JSON
   API — ``GET /models``, ``GET /healthz``, ``POST /models/{name}/predict``,
   and similarity search over :mod:`repro.index` checkpoints via

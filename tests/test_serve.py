@@ -253,9 +253,9 @@ class TestMicroBatcher:
         """No layer lingers unless asked: one default, 0 s."""
         import inspect
 
-        from repro.serve import WorkerConfig, WorkerPool, create_server
+        from repro.serve import (WorkerConfig, WorkerPool, create_pool_server,
+                                 create_server)
         from repro.serve.batching import DEFAULT_MAX_DELAY
-        from repro.serve.router import create_pool_server
 
         assert DEFAULT_MAX_DELAY == 0.0
         with MicroBatcher(lambda rows: rows[:, 0]) as batcher:
